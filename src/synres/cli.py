@@ -15,9 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import TaskSpec, build_task_data, gen_copy, gen_kv_recall, layout_for
+from .datagen import TaskSpec, VocabLayout, build_task_data, gen_copy, gen_kv_recall, layout_for
 from .evalsuite import (
-    DEFAULT_BENCH_LENS,
     DEFAULT_NOISE_LEVELS,
     coherence_curve,
     latency_bench,
@@ -25,9 +24,10 @@ from .evalsuite import (
     perplexity,
     retention_probe,
 )
-from .model import GateMode, ModelConfig, count_flops, init_params
+from .model import GateMode, count_flops, init_params
 from .numcore import NumericError, Rng
 from .persist import (
+    METRICS_COLUMNS,
     CheckpointError,
     ConfigError,
     MetricsRow,
@@ -98,18 +98,22 @@ def _task_from_flags(args) -> TaskSpec:
     )
 
 
+def _gen_synthetic(spec: TaskSpec, layout: VocabLayout):
+    """Generate a copy or kv_recall dataset from the spec's own seed."""
+    gen = gen_copy if spec.kind == "copy" else gen_kv_recall
+    return gen(spec, layout, Rng(spec.seed))
+
+
 def _generate_eval_data(args):
     if getattr(args, "data", None):
-        batch, spec, layout = load_dataset(args.data)
-        return batch, spec, layout
+        return load_dataset(args.data)
     spec = _task_from_flags(args)
-    vocab = 261 if spec.kind == "corpus" else args.vocab_size
-    layout = layout_for(spec, vocab)
     if spec.kind == "corpus":
+        layout = VocabLayout.bytes_()
         _, val = build_task_data(spec, layout)
         return val, spec, layout
-    gen = gen_copy if spec.kind == "copy" else gen_kv_recall
-    return gen(spec, layout, Rng(spec.seed)), spec, layout
+    layout = layout_for(spec, args.vocab_size)
+    return _gen_synthetic(spec, layout), spec, layout
 
 
 def _emit(rows: list[str], out: str | None, name: str):
@@ -213,7 +217,7 @@ def cmd_eval(args) -> int:
             value=value, gate_mode=mode.value, seed=ckpt.seed, wall_ms=0.0,
         ).as_csv()
 
-    rows = [",".join(("run_id", "epoch", "phase", "metric", "value", "gate_mode", "seed", "wall_ms"))]
+    rows = [",".join(METRICS_COLUMNS)]
     if "perplexity" in wanted:
         rows.append(row("perplexity", perplexity(params, dataset, mode=mode)))
     if "retention" in wanted and dataset.meta is not None:
@@ -240,6 +244,11 @@ def cmd_eval(args) -> int:
 # --------------------------------------------------------------------------
 
 
+def _default_bench_lens(max_seq_len: int) -> tuple[int, ...]:
+    """Powers of two from 8 below the model's context, then the context itself."""
+    return tuple(2**i for i in range(3, (max_seq_len - 1).bit_length())) + (max_seq_len,)
+
+
 def cmd_bench(args) -> int:
     if bool(args.checkpoint) == bool(args.config):
         raise ConfigError("bench needs exactly one of --ckpt or --config")
@@ -251,11 +260,12 @@ def cmd_bench(args) -> int:
             raise ConfigError(f"{args.config}: bench needs a [model] section")
         params = init_params(spec.model, Rng(args.seed), dtype=_dtype_of(args.precision))
     cfg = params.config
+    seq_lens = args.seq_lens or _default_bench_lens(cfg.max_seq_len)
 
     curves = {}
     for mode in (GateMode.LEARNED, GateMode.DISABLED):
         curves[mode] = latency_bench(
-            params, seq_lens=args.seq_lens, repetitions=args.reps, mode=mode, seed=args.seed
+            params, seq_lens=seq_lens, repetitions=args.reps, mode=mode, seed=args.seed
         )
     rows = ["seq_len,gate_mode,median_ms,flops"]
     for mode, curve in curves.items():
@@ -280,11 +290,8 @@ def cmd_gen_data(args) -> int:
     base = replace(_task_from_flags(args), seed=args.seed) if args.seed is not None else _task_from_flags(args)
     if base.kind == "corpus":
         raise ConfigError("gen-data writes synthetic tasks; corpus data is loaded from file")
-    vocab = args.vocab_size
-    layout = layout_for(base, vocab)
-    gen = gen_copy if base.kind == "copy" else gen_kv_recall
-    batch = gen(base, layout, Rng(base.seed))
-    save_dataset(args.out, batch, base, layout)
+    layout = layout_for(base, args.vocab_size)
+    save_dataset(args.out, _gen_synthetic(base, layout), base, layout)
     return 0
 
 
@@ -325,7 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="latency and flop accounting per gate mode")
     p_bench.add_argument("--ckpt", dest="checkpoint", help="checkpoint path")
     p_bench.add_argument("--config", help="config file (random init)")
-    p_bench.add_argument("--seq-lens", type=_int_list, default=DEFAULT_BENCH_LENS)
+    p_bench.add_argument("--seq-lens", type=_int_list,
+                         help="comma list of lengths (default: powers of two from 8 "
+                              "below the model's max_seq_len, then max_seq_len)")
     p_bench.add_argument("--reps", type=int, default=20)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--precision", type=int, choices=[32, 64], default=32)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .datagen import Batch, TaskSpec, VocabLayout, build_task_data, inject_noise
 from .model import GateMode, ModelConfig, Params, count_flops, forward, forward_batch, init_params
-from .numcore import Rng
+from .numcore import Rng, _row_nll
 
 DEFAULT_NOISE_LEVELS = (0, 10, 20, 30)
 DEFAULT_BENCH_LENS = (128, 256, 512, 1000)
@@ -63,22 +63,10 @@ class LatencyCurve:
     gate_mode: GateMode
     repetitions: int
     warmups: int
-    exclusive: str = "timings are meaningful only without concurrent load"
 
     def __post_init__(self):
         if self.repetitions < 20 or self.warmups < 3:
             raise ValueError("latency medians need >= 20 repetitions after >= 3 warmups")
-
-
-def nll_stats(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> tuple[float, int]:
-    """Sum of -log softmax(logits)[target] over masked rows, plus the count."""
-    x = logits.astype(np.float64)
-    tgt = np.asarray(targets, dtype=np.int64).reshape(-1)
-    msk = np.asarray(mask, dtype=bool).reshape(-1)
-    m = x.max(axis=1)
-    lse = m + np.log(np.exp(x - m[:, None]).sum(axis=1))
-    nll = lse - x[np.arange(len(tgt)), np.where(msk, tgt, 0)]
-    return float(nll[msk].sum()), int(msk.sum())
 
 
 def _eval_chunks(dataset: Batch):
@@ -93,9 +81,11 @@ def perplexity(params: Params, dataset: Batch, mode: GateMode | None = None) -> 
     total, count = 0.0, 0
     for chunk in _eval_chunks(dataset):
         logits = forward_batch(params, chunk.tokens, mode=mode)
-        s, c = nll_stats(logits.data, chunk.targets.reshape(-1), chunk.loss_mask.reshape(-1))
-        total += s
-        count += c
+        msk = chunk.loss_mask.reshape(-1)
+        safe_tgt = np.where(msk, chunk.targets.reshape(-1), 0)
+        nll, _, _ = _row_nll(logits.data.astype(np.float64), safe_tgt)
+        total += float(nll[msk].sum())
+        count += int(msk.sum())
     return float(np.exp(total / count))
 
 
@@ -132,6 +122,17 @@ def masked_accuracy(
     return float((pred[msk] == dataset.targets[msk]).mean())
 
 
+def _by_distance(row_hits: np.ndarray, distances: np.ndarray) -> RetentionReport:
+    """Bucket per-row hits by each row's planted distance."""
+    per_distance: dict[int, float] = {}
+    counts: dict[int, int] = {}
+    for d in sorted(set(int(v) for v in distances)):
+        sel = distances == d
+        counts[d] = int(sel.sum())
+        per_distance[d] = float(row_hits[sel].mean())
+    return RetentionReport(per_distance=per_distance, counts=counts)
+
+
 def retention_probe(
     params: Params,
     dataset: Batch,
@@ -147,14 +148,7 @@ def retention_probe(
         params, dataset, mode=mode, value_range=(layout.value_lo, layout.value_hi)
     )
     hits = pred[dataset.loss_mask] == dataset.targets[dataset.loss_mask]
-    per_row_hit = hits.reshape(dataset.n_rows)  # kv rows mask exactly one position
-    per_distance: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for d in sorted(set(int(v) for v in dataset.meta)):
-        sel = dataset.meta == d
-        counts[d] = int(sel.sum())
-        per_distance[d] = float(per_row_hit[sel].mean())
-    return RetentionReport(per_distance=per_distance, counts=counts)
+    return _by_distance(hits.reshape(dataset.n_rows), dataset.meta)  # one scored position per row
 
 
 def noise_robustness(
@@ -254,13 +248,7 @@ def oracle_retention(batch: Batch, layout: VocabLayout) -> RetentionReport:
         raise ValueError("retention probe needs per-row distance meta")
     answers = lookup_oracle(batch, layout)
     hits = answers == batch.targets[np.arange(batch.n_rows), batch.seq_len - 1]
-    per_distance: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for d in sorted(set(int(v) for v in batch.meta)):
-        sel = batch.meta == d
-        counts[d] = int(sel.sum())
-        per_distance[d] = float(hits[sel].mean())
-    return RetentionReport(per_distance=per_distance, counts=counts)
+    return _by_distance(hits, batch.meta)
 
 
 @dataclass

@@ -237,14 +237,6 @@ def matmul(a: Tensor2, b: Tensor2, graph: GradGraph | None = None) -> Tensor2:
 
 
 @_quiet
-def transpose(x: Tensor2, graph: GradGraph | None = None) -> Tensor2:
-    out = Tensor2(x.data.T.copy())
-    if graph is not None:
-        graph.record(out, (x,), lambda g: (g.T.copy(),))
-    return out
-
-
-@_quiet
 def add(x: Tensor2, y: Tensor2, graph: GradGraph | None = None) -> Tensor2:
     """Elementwise sum of two same-shape tensors."""
     if x.shape != y.shape:
@@ -317,24 +309,6 @@ def sigmoid(x: Tensor2, graph: GradGraph | None = None) -> Tensor2:
     return out
 
 
-@_quiet
-def softmax_rows(x: Tensor2, graph: GradGraph | None = None) -> Tensor2:
-    """Row-wise softmax with the row max subtracted before exponentiation."""
-    _check_finite(x.data, "softmax_rows input")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
-    out = Tensor2(p)
-    if graph is not None:
-
-        def vjp(g):
-            dot = (p * g).sum(axis=1, keepdims=True)
-            return (p * (g - dot),)
-
-        graph.record(out, (x,), vjp)
-    return out
-
-
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
@@ -367,17 +341,6 @@ def frobenius_sq(x: Tensor2, graph: GradGraph | None = None) -> Tensor2:
     if graph is not None:
         xd = x.data
         graph.record(out, (x,), lambda g: (2.0 * float(g[0, 0]) * xd,))
-    return out
-
-
-@_quiet
-def sum_all(x: Tensor2, graph: GradGraph | None = None) -> Tensor2:
-    """Sum of all elements, as a 1x1 tensor."""
-    val = np.asarray(x.data.sum(), dtype=x.dtype).reshape(1, 1)
-    _check_finite(val, "sum_all")
-    out = Tensor2(val)
-    if graph is not None:
-        graph.record(out, (x,), lambda g: (np.full_like(x.data, float(g[0, 0])),))
     return out
 
 
@@ -441,27 +404,14 @@ def gather_rows(table: Tensor2, indices: np.ndarray, graph: GradGraph | None = N
     return out
 
 
-@_quiet
-def concat_rows(parts: Sequence[Tensor2], graph: GradGraph | None = None) -> Tensor2:
-    """Stack tensors with equal column counts along the row axis."""
-    if not parts:
-        raise DimensionError("concat_rows: no parts")
-    cols = parts[0].cols
-    if any(p.cols != cols for p in parts):
-        raise DimensionError("concat_rows: column counts differ")
-    out = Tensor2(np.concatenate([p.data for p in parts], axis=0))
-    if graph is not None:
-        sizes = [p.rows for p in parts]
-
-        def vjp(g):
-            grads, at = [], 0
-            for s in sizes:
-                grads.append(g[at : at + s].copy())
-                at += s
-            return tuple(grads)
-
-        graph.record(out, tuple(parts), vjp)
-    return out
+def _row_nll(x: np.ndarray, targets: np.ndarray):
+    """Per-row -log softmax(x)[target] via log-sum-exp in x's dtype, plus the
+    shifted exponentials and their row sums (the cross-entropy vjp needs them)."""
+    m = x.max(axis=1, keepdims=True)
+    e = np.exp(x - m)
+    z = e.sum(axis=1, keepdims=True)
+    nll = m[:, 0] + np.log(z[:, 0]) - x[np.arange(x.shape[0]), targets]
+    return nll, e, z
 
 
 @_quiet
@@ -487,12 +437,7 @@ def cross_entropy_logits(
 
     safe_tgt = np.where(msk, tgt, 0)  # masked-out rows may carry junk targets
 
-    m = logits.data.max(axis=1, keepdims=True)
-    e = np.exp(logits.data - m)
-    z = e.sum(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(z[:, 0])
-    picked = logits.data[np.arange(n), safe_tgt]
-    nll = lse - picked
+    nll, e, z = _row_nll(logits.data, safe_tgt)
     count = int(msk.sum())
     val = np.asarray(nll[msk].sum() / count, dtype=logits.dtype).reshape(1, 1)
     _check_finite(val, "cross_entropy_logits")

@@ -11,13 +11,14 @@ from __future__ import annotations
 import configparser
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
 
 from .datagen import Batch, TaskSpec, VocabLayout
 from .model import GateMode, LayerParams, ModelConfig, Params
+from .numcore import Tensor2
 from .train import TrainConfig
 
 FORMAT_VERSION = 1
@@ -46,7 +47,7 @@ def _fmt(value) -> str:
 
 def _parse(text: str, kind: str):
     if text == "none":
-        return None
+        return () if kind == "int_list" else None
     if kind == "int":
         return int(text)
     if kind == "float":
@@ -58,41 +59,48 @@ def _parse(text: str, kind: str):
     return text  # str
 
 
-_MODEL_FIELDS = {
-    "vocab_size": "int", "d_model": "int", "n_heads": "int", "n_layers": "int",
-    "d_ff": "int", "max_seq_len": "int", "sigma_init": "float", "gate_mode": "str",
-}
-_TRAIN_FIELDS = {
-    "epochs": "int", "batch_size": "int", "lr": "float", "lr_decay": "float",
-    "ppl_threshold": "float", "reg_weight": "float", "grad_clip": "float",
-    "seed": "int", "min_lr": "float",
-}
-_TASK_FIELDS = {
-    "kind": "str", "seq_len": "int", "pairs": "int", "distances": "int_list",
-    "samples": "int", "seed": "int", "val_fraction": "float", "corpus_path": "str",
-}
-_LAYOUT_FIELDS = {
-    "vocab_size": "int", "pad": "int", "bos": "int", "sep": "int", "query": "int",
-    "filler": "int", "key_lo": "int", "key_hi": "int", "value_lo": "int",
-    "value_hi": "int", "byte_mode": "bool",
-}
+_KINDS = {"int": "int", "float": "float", "bool": "bool", "tuple[int, ...]": "int_list"}
 
 
-def _header_lines_for_config(prefix: str, obj, fields: dict) -> list[str]:
-    return [f"{prefix}.{name} {_fmt(getattr(obj, name))}" for name in fields]
+def _fields(cls) -> dict[str, str]:
+    """Field name -> parse kind, in declaration order (the serialized order)."""
+    return {
+        f.name: _KINDS.get(f.type.removesuffix(" | None"), "str")
+        for f in dataclass_fields(cls)
+    }
 
 
-def _collect_section(pairs: dict[str, str], prefix: str, fields: dict) -> dict:
-    out = {}
+def _build(cls, section: str, raw: dict[str, str], error, required: bool):
+    """Construct cls from one section's key -> text pairs. Every failure raises
+    error(message); a missing key is one only when required is set."""
+    fields = _fields(cls)
+    unknown = set(raw) - set(fields)
+    if unknown:
+        raise error(f"unknown keys in [{section}]: {sorted(unknown)}")
+    kwargs = {}
     for name, kind in fields.items():
-        key = f"{prefix}.{name}"
-        if key not in pairs:
-            raise CheckpointError(f"missing header entry {key}")
-        value = _parse(pairs[key], kind)
-        if name == "distances" and value is None:
-            value = ()
-        out[name] = value
-    return out
+        if name not in raw:
+            if required:
+                raise error(f"missing header entry {section}.{name}")
+            continue
+        try:
+            kwargs[name] = _parse(raw[name].strip(), kind)
+        except ValueError as err:
+            raise error(f"bad value for {section}.{name}: {raw[name]!r}") from err
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as err:
+        raise error(f"invalid [{section}] config: {err}") from err
+
+
+def _header_lines(section: str, obj) -> list[str]:
+    return [f"{section}.{name} {_fmt(getattr(obj, name))}" for name in _fields(type(obj))]
+
+
+def _header_section(path, pairs: dict[str, str], cls, section: str):
+    raw = {key[len(section) + 1 :]: text for key, text in pairs.items()
+           if key.startswith(section + ".")}
+    return _build(cls, section, raw, lambda msg: CheckpointError(f"{path}: {msg}"), required=True)
 
 
 def _write_container(path, header_lines: list[str], arrays: list[tuple[str, np.ndarray]]):
@@ -152,8 +160,8 @@ class Checkpoint:
 
 def save_checkpoint(path, params: Params, train_config: TrainConfig, seed: int, epoch: int):
     header = [f"format {FORMAT_VERSION}", "kind checkpoint"]
-    header += _header_lines_for_config("model", params.config, _MODEL_FIELDS)
-    header += _header_lines_for_config("train", train_config, _TRAIN_FIELDS)
+    header += _header_lines("model", params.config)
+    header += _header_lines("train", train_config)
     header += [f"seed {seed}", f"epoch {epoch}"]
     tensors = [(name, np.ascontiguousarray(t.data)) for name, t in params.named_tensors()]
     _write_container(path, header, tensors)
@@ -163,15 +171,13 @@ def load_checkpoint(path) -> Checkpoint:
     pairs, arrays = _read_container(path)
     if pairs.get("kind") != "checkpoint":
         raise CheckpointError(f"{path}: container kind {pairs.get('kind')!r} is not a checkpoint")
-    model_config = ModelConfig(**_collect_section(pairs, "model", _MODEL_FIELDS))
-    train_config = TrainConfig(**_collect_section(pairs, "train", _TRAIN_FIELDS))
+    model_config = _header_section(path, pairs, ModelConfig, "model")
+    train_config = _header_section(path, pairs, TrainConfig, "train")
     try:
         seed = int(pairs["seed"])
         epoch = int(pairs["epoch"])
     except KeyError as err:
         raise CheckpointError(f"missing header entry {err.args[0]}") from err
-
-    from .numcore import Tensor2
 
     def take(name) -> Tensor2:
         if name not in arrays:
@@ -204,8 +210,8 @@ def load_checkpoint(path) -> Checkpoint:
 def save_dataset(path, batch: Batch, spec: TaskSpec, layout: VocabLayout):
     """Dataset artifact in the container format plus a JSON TaskSpec sidecar."""
     header = [f"format {FORMAT_VERSION}", "kind dataset"]
-    header += _header_lines_for_config("task", spec, _TASK_FIELDS)
-    header += _header_lines_for_config("layout", layout, _LAYOUT_FIELDS)
+    header += _header_lines("task", spec)
+    header += _header_lines("layout", layout)
     arrays = [
         ("tokens", batch.tokens.astype(np.int64)),
         ("targets", batch.targets.astype(np.int64)),
@@ -216,7 +222,7 @@ def save_dataset(path, batch: Batch, spec: TaskSpec, layout: VocabLayout):
     if batch.protected is not None:
         arrays.append(("protected", batch.protected.astype(np.bool_)))
     _write_container(path, header, arrays)
-    sidecar = {name: _fmt(getattr(spec, name)) for name in _TASK_FIELDS}
+    sidecar = {name: _fmt(getattr(spec, name)) for name in _fields(TaskSpec)}
     Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
@@ -224,8 +230,8 @@ def load_dataset(path) -> tuple[Batch, TaskSpec, VocabLayout]:
     pairs, arrays = _read_container(path)
     if pairs.get("kind") != "dataset":
         raise CheckpointError(f"{path}: container kind {pairs.get('kind')!r} is not a dataset")
-    spec = TaskSpec(**_collect_section(pairs, "task", _TASK_FIELDS))
-    layout = VocabLayout(**_collect_section(pairs, "layout", _LAYOUT_FIELDS))
+    spec = _header_section(path, pairs, TaskSpec, "task")
+    layout = _header_section(path, pairs, VocabLayout, "layout")
     for required in ("tokens", "targets", "loss_mask"):
         if required not in arrays:
             raise CheckpointError(f"tensor {required}: missing from manifest")
@@ -305,7 +311,7 @@ class ConfigError(ValueError):
     """Config file cannot be parsed or contains unknown keys."""
 
 
-_SECTION_FIELDS = {"model": _MODEL_FIELDS, "train": _TRAIN_FIELDS, "task": _TASK_FIELDS}
+_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "task": TaskSpec}
 
 
 def load_config(path) -> RunSpec:
@@ -319,51 +325,30 @@ def load_config(path) -> RunSpec:
         parser.read_string(path.read_text(), source=str(path))
     except configparser.Error as err:
         raise ConfigError(f"{path}: {err}") from err
-    known = set(_SECTION_FIELDS)
     sections = set(parser.sections())
     if not sections:
         raise ConfigError(f"{path}: no sections found")
-    unknown = sections - known
+    unknown = sections - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"{path}: unknown sections {sorted(unknown)}")
-
-    def build(section, fields, factory):
-        if section not in parser:
-            return None
-        raw = dict(parser[section])
-        bad = set(raw) - set(fields)
-        if bad:
-            raise ConfigError(f"{path}: unknown keys in [{section}]: {sorted(bad)}")
-        kwargs = {}
-        for name, text in raw.items():
-            try:
-                value = _parse(text.strip(), fields[name])
-            except ValueError as err:
-                raise ConfigError(f"{path}: bad value for {section}.{name}: {text!r}") from err
-            if name == "distances" and value is None:
-                value = ()
-            kwargs[name] = value
-        try:
-            return factory(**kwargs)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"{path}: invalid [{section}] config: {err}") from err
-
-    return RunSpec(
-        model=build("model", _MODEL_FIELDS, ModelConfig),
-        train=build("train", _TRAIN_FIELDS, TrainConfig),
-        task=build("task", _TASK_FIELDS, TaskSpec),
-    )
+    built = dict.fromkeys(_SECTIONS)
+    for section in parser.sections():
+        built[section] = _build(
+            _SECTIONS[section], section, dict(parser[section]),
+            lambda msg: ConfigError(f"{path}: {msg}"), required=False,
+        )
+    return RunSpec(**built)
 
 
 def config_text(spec: RunSpec) -> str:
     """Canonical serialization of a RunSpec (used for the frozen run copy)."""
     lines = []
-    for section, fields in _SECTION_FIELDS.items():
-        obj = getattr(spec, {"model": "model", "train": "train", "task": "task"}[section])
+    for section in _SECTIONS:
+        obj = getattr(spec, section)
         if obj is None:
             continue
         lines.append(f"[{section}]")
-        for name in fields:
+        for name in _fields(type(obj)):
             lines.append(f"{name} = {_fmt(getattr(obj, name))}")
         lines.append("")
     return "\n".join(lines)

@@ -156,7 +156,6 @@ class EpochStats:
     mean_ce: float = 0.0
     mean_reg: float = 0.0
     n_batches: int = 0
-    last_ce: float = 0.0
 
 
 def train_epoch(
@@ -198,7 +197,6 @@ def train_epoch(
             on_step(index, total.item(), ce.item(), reg.item())
         totals += (total.item(), ce.item(), reg.item())
         stats.n_batches = index + 1
-        stats.last_ce = ce.item()
     if stats.n_batches == 0:
         raise ValueError("empty batch stream")
     stats.mean_loss, stats.mean_ce, stats.mean_reg = (totals / stats.n_batches).tolist()
@@ -218,17 +216,11 @@ def lr_decay_check(val_ppl: float, lr: float, config: TrainConfig) -> tuple[floa
     return lr, False
 
 
-class _DigestStream:
-    """Wraps a batch stream, hashing consumed tokens for pairing checks."""
-
-    def __init__(self, stream, digest):
-        self._stream = stream
-        self._digest = digest
-
-    def __iter__(self):
-        for batch in self._stream:
-            self._digest.update(batch.tokens.astype(np.int64).tobytes())
-            yield batch
+def _digested(stream, digest):
+    """Pass a batch stream through, hashing consumed tokens for pairing checks."""
+    for batch in stream:
+        digest.update(batch.tokens.astype(np.int64).tobytes())
+        yield batch
 
 
 def run_training(
@@ -255,9 +247,7 @@ def run_training(
     digest = hashlib.sha256()
     for epoch in range(config.epochs):
         started = time.perf_counter()
-        stream = _DigestStream(
-            batches(train_ds, config.batch_size, rng.split(), shuffle=True), digest
-        )
+        stream = _digested(batches(train_ds, config.batch_size, rng.split(), shuffle=True), digest)
         try:
             stats = train_epoch(params, stream, config, lr, mode=mode)
         except NumericError as err:

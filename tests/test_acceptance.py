@@ -6,6 +6,7 @@ criterion alongside the pytest verdicts.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,26 +81,19 @@ def _op_cases(dtype):
     mask_const = np.full((3, 3), 0.5)
     return {
         "matmul": (lambda i, g: fro(nc.matmul(i[0], i[1], g), g), [p(1, 3, 4), p(2, 4, 2)]),
-        "transpose": (lambda i, g: fro(nc.transpose(i[0], g), g), [s(3, 3, 3)]),
         "add": (lambda i, g: fro(nc.add(i[0], i[1], g), g), [p(4, 3, 3), p(5, 3, 3)]),
         "add_row": (lambda i, g: fro(nc.add_row(i[0], i[1], g), g), [p(6, 3, 4), p(7, 1, 4)]),
         "add_const": (lambda i, g: fro(nc.add_const(i[0], mask_const, g), g), [p(8, 3, 3)]),
         "scale": (lambda i, g: fro(nc.scale(i[0], 0.7, g), g), [s(9, 3, 3)]),
         "hadamard": (lambda i, g: fro(nc.hadamard(i[0], i[1], g), g), [s(10, 3, 3), s(11, 3, 3)]),
         "sigmoid": (lambda i, g: fro(nc.sigmoid(i[0], g), g), [s(12, 3, 3)]),
-        "softmax_rows": (lambda i, g: fro(nc.softmax_rows(i[0], g), g), [s(13, 3, 5, hi=2.5)]),
         "gelu": (lambda i, g: fro(nc.gelu(i[0], g), g), [p(14, 3, 4)]),
         "frobenius_sq": (lambda i, g: fro(i[0], g), [s(15, 3, 3)]),
-        "sum_all": (lambda i, g: nc.sum_all(nc.hadamard(i[0], i[0], g), g), [s(16, 3, 3)]),
         "layer_norm": (
             lambda i, g: fro(nc.layer_norm(i[0], i[1], i[2], graph=g), g),
             [s(17, 3, 6), p(18, 1, 6), p(19, 1, 6)],
         ),
         "gather_rows": (lambda i, g: fro(nc.gather_rows(i[0], idx, g), g), [s(20, 3, 4)]),
-        "concat_rows": (
-            lambda i, g: fro(nc.concat_rows([i[0], i[1]], g), g),
-            [s(21, 2, 3), s(22, 3, 3)],
-        ),
         "cross_entropy_logits": (
             lambda i, g: nc.cross_entropy_logits(i[0], tgt, msk, g),
             [s(23, 4, 7, hi=2.0)],
@@ -183,6 +177,23 @@ def test_criterion_01_gradient_fidelity():
     assert elapsed < 60.0, f"gradient fidelity took {elapsed:.1f}s"
     _report(1, f"ops 64b<={worst64:.1e} 32b<={worst32:.1e}, "
                f"model 64b={model64:.1e} 32b={model32:.1e}, {elapsed:.1f}s")
+
+
+@pytest.mark.parametrize("mode", ["learned", "disabled"])
+def test_criterion_01_covers_every_recorded_op(mode):
+    # every op a training step records has a finite-difference row above;
+    # the disabled gate freezes the regularizer, which records add_const
+    mode = GateMode(mode)
+    params = init_params(replace(TINY, gate_mode=mode), nc.Rng(3))
+    tokens = np.random.default_rng(0).integers(0, TINY.vocab_size, size=(2, 5))
+    graph = nc.GradGraph()
+    logits = forward_batch(params, tokens, graph=graph)
+    loss(logits, tokens.reshape(-1), np.ones(10, dtype=bool), params.synaptic(), 1e-3,
+         graph=graph, synaptic_frozen=mode != GateMode.LEARNED)
+    recorded = {vjp.__qualname__.split(".")[0] for _, _, vjp in graph._records}
+    assert recorded - set(_op_cases(np.float64)) == set()
+    gate_ops = {"sigmoid", "frobenius_sq"} if mode == GateMode.LEARNED else {"add_const"}
+    assert gate_ops <= recorded
 
 
 # --------------------------------------------------------------------------

@@ -174,6 +174,14 @@ def test_bench_rows_and_flops(config_path, tmp_path):
         assert float(ratio) > 0
 
 
+def test_bench_default_lengths_fit_the_model(config_path, tmp_path):
+    # without --seq-lens the lengths come from the model's max_seq_len (16)
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", str(config_path), "--out", str(out)]) == 0
+    lines = (out / "bench.csv").read_text().splitlines()[1:]
+    assert [int(line.split(",")[0]) for line in lines] == [8, 16] * 2
+
+
 def test_bench_overlength_exit2(config_path, tmp_path):
     rc = main(["bench", "--config", str(config_path), "--seq-lens", "999"])
     assert rc == 2

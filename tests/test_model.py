@@ -7,7 +7,6 @@ from synres import numcore as nc
 from synres.model import (
     GateMode,
     ModelConfig,
-    attention_block,
     count_flops,
     forward,
     forward_batch,
@@ -77,16 +76,24 @@ def test_init_biases_and_gains():
 
 
 # --------------------------------------------------------------------------
-# attention block
+# attention on a layer's projections
 # --------------------------------------------------------------------------
+
+
+def attend(x, layer, causal=True):
+    """A layer's self-attention over one sequence: the w_o-projected output
+    and the [1, n_heads, n, n] attention weights."""
+    q, k, v = (nc.matmul(x, w) for w in (layer.w_q, layer.w_k, layer.w_v))
+    core, probs = nc.multihead_attention(q, k, v, n_heads=2, causal=causal, want_probs=True)
+    return nc.matmul(core, layer.w_o), probs
 
 
 def test_attention_single_token():
     params = tiny_params(seed=1)
     layer = params.layers[0]
     x = nc.Tensor2(nc.Rng(9).normal(1, 8, 1.0))
-    a, parts = attention_block(x, layer, n_heads=2)
-    np.testing.assert_array_equal(parts.probs, np.ones((1, 2, 1, 1)))
+    a, probs = attend(x, layer)
+    np.testing.assert_array_equal(probs, np.ones((1, 2, 1, 1)))
     v_proj = x.data @ layer.w_v.data
     np.testing.assert_allclose(a.data, v_proj @ layer.w_o.data, rtol=1e-5)
 
@@ -95,19 +102,19 @@ def test_attention_uniform_weights_no_mask():
     params = tiny_params(seed=2)
     layer = params.layers[0]
     x = nc.Tensor2(np.tile(nc.Rng(4).normal(1, 8, 1.0), (5, 1)))  # identical rows
-    _, parts = attention_block(x, layer, n_heads=2, causal=False)
-    np.testing.assert_allclose(parts.probs, np.full((1, 2, 5, 5), 0.2), atol=1e-6)
+    _, probs = attend(x, layer, causal=False)
+    np.testing.assert_allclose(probs, np.full((1, 2, 5, 5), 0.2), atol=1e-6)
 
 
 def test_attention_causal_invariance():
     params = tiny_params(seed=3)
     layer = params.layers[0]
     x = nc.Tensor2(nc.Rng(5).normal(6, 8, 1.0, dtype=np.float32))
-    base, _ = attention_block(x, layer, n_heads=2)
+    base, _ = attend(x, layer)
     x2 = x.copy()
     x2.data[4] += 7.0
     x2.data[5] -= 3.0
-    pert, _ = attention_block(x2, layer, n_heads=2)
+    pert, _ = attend(x2, layer)
     np.testing.assert_array_equal(base.data[:4], pert.data[:4])
 
 

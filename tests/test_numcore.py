@@ -15,6 +15,23 @@ def rnd(rows, cols, seed=0, dtype=np.float64, scale=1.0):
     return nc.Tensor2(rng.normal(rows, cols, scale, dtype=dtype))
 
 
+def attention_softmax(scores, dtype=np.float32):
+    """softmax(scores), read off the attention weights: with one head of
+    width 1, q = 1 and k = scores, every row of the non-causal weight
+    matrix is softmax(scores)."""
+    k = nc.Tensor2(np.asarray(scores, dtype=dtype).reshape(-1, 1))
+    q = nc.Tensor2(np.ones_like(k.data))
+    _, probs = nc.multihead_attention(q, k, k, n_heads=1, causal=False, want_probs=True)
+    return probs[0, 0]
+
+
+def total(x, graph=None):
+    """Sum of all elements as a 1x1 tensor, 1^T x 1."""
+    left = nc.ones(1, x.rows, dtype=x.dtype)
+    right = nc.ones(x.cols, 1, dtype=x.dtype)
+    return nc.matmul(nc.matmul(left, x, graph), right, graph)
+
+
 # --------------------------------------------------------------------------
 # matmul
 # --------------------------------------------------------------------------
@@ -61,15 +78,15 @@ def test_matmul_nonfinite_result_is_error():
 
 
 def test_softmax_symmetry_and_stability():
-    np.testing.assert_allclose(nc.softmax_rows(nc.tensor([[0.0, 0.0]])).data, [[0.5, 0.5]])
-    out = nc.softmax_rows(nc.tensor([[1000.0, 0.0]]))
-    assert np.isfinite(out.data).all()
-    np.testing.assert_allclose(out.data, [[1.0, 0.0]], atol=1e-6)
+    np.testing.assert_allclose(attention_softmax([0.0, 0.0]), np.full((2, 2), 0.5))
+    out = attention_softmax([1000.0, 0.0])
+    assert np.isfinite(out).all()
+    np.testing.assert_allclose(out, [[1.0, 0.0]] * 2, atol=1e-6)
 
 
 def test_softmax_scalar_oracle():
-    out = nc.softmax_rows(nc.tensor([[1.0, 2.0, 3.0]], dtype=np.float64))
-    np.testing.assert_allclose(out.data, [[0.09003057, 0.24472847, 0.66524096]], atol=1e-5)
+    out = attention_softmax([1.0, 2.0, 3.0], dtype=np.float64)
+    np.testing.assert_allclose(out, [[0.09003057, 0.24472847, 0.66524096]] * 3, atol=1e-5)
 
 
 @settings(max_examples=50, deadline=None)
@@ -80,8 +97,9 @@ def test_softmax_scalar_oracle():
 )
 def test_softmax_rows_sum_to_one(rows, cols, seed):
     x = rnd(rows, cols, seed=seed, dtype=np.float32, scale=10.0)
-    out = nc.softmax_rows(x)
-    np.testing.assert_allclose(out.data.sum(axis=1), np.ones(rows), atol=1e-6)
+    for scores in x.data:
+        out = attention_softmax(scores)
+        np.testing.assert_allclose(out.sum(axis=1), np.ones(cols), atol=1e-6)
 
 
 def test_sigmoid_oracles():
@@ -102,7 +120,7 @@ def test_sigmoid_range_and_symmetry(seed):
 
 
 # --------------------------------------------------------------------------
-# hadamard / frobenius / sums
+# hadamard / frobenius
 # --------------------------------------------------------------------------
 
 
@@ -208,7 +226,7 @@ def test_backward_hadamard_product_rule():
     x = rnd(2, 3, seed=5)
     y = rnd(2, 3, seed=6)
     g = nc.GradGraph()
-    loss = nc.sum_all(nc.hadamard(x, y, g), g)
+    loss = total(nc.hadamard(x, y, g), g)
     nc.backward(g, loss)
     np.testing.assert_allclose(x.grad, y.data)
     np.testing.assert_allclose(y.grad, x.data)
@@ -220,8 +238,8 @@ def test_backward_fanout_accumulates():
     a = rnd(2, 2, seed=8)
     b = rnd(2, 2, seed=9)
     g = nc.GradGraph()
-    branch1 = nc.sum_all(nc.hadamard(x, a, g), g)
-    branch2 = nc.sum_all(nc.hadamard(x, b, g), g)
+    branch1 = total(nc.hadamard(x, a, g), g)
+    branch2 = total(nc.hadamard(x, b, g), g)
     loss = nc.add(branch1, branch2, g)
     nc.backward(g, loss)
     np.testing.assert_allclose(x.grad, a.data + b.data)
@@ -238,7 +256,7 @@ def test_backward_rejects_nonscalar_root():
 def test_backward_same_tensor_both_operands():
     x = nc.tensor([[3.0]], dtype=np.float64)
     g = nc.GradGraph()
-    loss = nc.sum_all(nc.hadamard(x, x, g), g)
+    loss = total(nc.hadamard(x, x, g), g)
     nc.backward(g, loss)
     np.testing.assert_allclose(x.grad, [[6.0]])
 
@@ -262,8 +280,14 @@ def test_grad_check_matmul():
 
 
 def test_grad_check_softmax():
-    fn = _scalarize(lambda ins, g: nc.softmax_rows(ins[0], g))
-    assert nc.grad_check(fn, [rnd(3, 5, seed=3)], eps=1e-5) < 1e-6
+    # one head with v = I: the attention output is its softmax weight matrix
+    eye = nc.eye(5, dtype=np.float64)
+
+    def fn(ins, g):
+        out = nc.multihead_attention(ins[0], ins[1], eye, n_heads=1, causal=False, graph=g)
+        return nc.frobenius_sq(out, g)
+
+    assert nc.grad_check(fn, [rnd(5, 5, seed=3), rnd(5, 5, seed=33)], eps=1e-5) < 1e-6
 
 
 def test_grad_check_sigmoid():
@@ -304,13 +328,13 @@ def test_grad_check_gelu():
     assert nc.grad_check(fn, [rnd(3, 4, seed=12)], eps=1e-5) < 1e-6
 
 
-def test_grad_check_gather_add_row_concat():
+def test_grad_check_gather_add_row():
     idx = np.array([2, 0, 2, 1])
 
     def fn(ins, g):
         picked = nc.gather_rows(ins[0], idx, g)
         shifted = nc.add_row(picked, ins[1], g)
-        both = nc.concat_rows([shifted, picked], g)
+        both = nc.add(shifted, picked, g)  # picked fans out into both operands
         return nc.frobenius_sq(both, g)
 
     assert nc.grad_check(fn, [rnd(3, 4, seed=13), rnd(1, 4, seed=14)], eps=1e-5) < 1e-6
@@ -419,6 +443,6 @@ def test_rng_split_streams_differ_and_replay():
 def test_ops_deterministic_replay():
     x = rnd(16, 16, seed=31, dtype=np.float32)
     y = rnd(16, 16, seed=32, dtype=np.float32)
-    first = nc.matmul(nc.softmax_rows(x), nc.gelu(y)).data
-    second = nc.matmul(nc.softmax_rows(x), nc.gelu(y)).data
+    first = nc.matmul(nc.multihead_attention(x, x, x, n_heads=4), nc.gelu(y)).data
+    second = nc.matmul(nc.multihead_attention(x, x, x, n_heads=4), nc.gelu(y)).data
     np.testing.assert_array_equal(first, second)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from synres import numcore as nc
-from synres.datagen import TaskSpec, VocabLayout, gen_kv_recall
+from synres.datagen import TaskSpec, VocabLayout, gen_copy, gen_kv_recall
 from synres.model import GateMode, ModelConfig, forward, init_params
 from synres.persist import (
     CheckpointError,
@@ -84,6 +84,15 @@ def test_checkpoint_truncation_names_entry(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_bad_header_value_names_entry(tmp_path):
+    params = init_params(CFG, nc.Rng(6))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, TCFG, seed=0, epoch=0)
+    path.write_bytes(path.read_bytes().replace(b"model.d_model 8\n", b"model.d_model eight\n"))
+    with pytest.raises(CheckpointError, match="model.d_model"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_garbage_rejected(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"not a checkpoint at all")
@@ -96,20 +105,29 @@ def test_checkpoint_garbage_rejected(tmp_path):
 # --------------------------------------------------------------------------
 
 
-def test_dataset_round_trip(tmp_path):
-    spec = TaskSpec.kv_recall(distances=(4, 6), samples=30, seed=7)
-    layout = VocabLayout.synthetic(32, n_keys=spec.pairs)
-    batch = gen_kv_recall(spec, layout, nc.Rng(7))
-    path = tmp_path / "kv.ds"
+@pytest.mark.parametrize("kind", ["kv_recall", "copy"])
+def test_dataset_round_trip(tmp_path, kind):
+    if kind == "kv_recall":
+        spec = TaskSpec.kv_recall(distances=(4, 6), samples=30, seed=7)
+        layout = VocabLayout.synthetic(32, n_keys=spec.pairs)
+        batch = gen_kv_recall(spec, layout, nc.Rng(7))
+    else:  # pairs 0, distances none, corpus_path none in the header
+        spec = TaskSpec(kind="copy", seq_len=8, samples=30, seed=7)
+        layout = VocabLayout.synthetic(32)
+        batch = gen_copy(spec, layout, nc.Rng(7))
+    path = tmp_path / "task.ds"
     save_dataset(path, batch, spec, layout)
     loaded, spec2, layout2 = load_dataset(path)
     assert spec2 == spec and layout2 == layout
     np.testing.assert_array_equal(loaded.tokens, batch.tokens)
     np.testing.assert_array_equal(loaded.targets, batch.targets)
     np.testing.assert_array_equal(loaded.loss_mask, batch.loss_mask)
-    np.testing.assert_array_equal(loaded.meta, batch.meta)
-    np.testing.assert_array_equal(loaded.protected, batch.protected)
-    assert (tmp_path / "kv.ds.json").exists()
+    for extra in ("meta", "protected"):
+        if getattr(batch, extra) is None:
+            assert getattr(loaded, extra) is None
+        else:
+            np.testing.assert_array_equal(getattr(loaded, extra), getattr(batch, extra))
+    assert (tmp_path / "task.ds.json").exists()
 
 
 def test_dataset_kind_mismatch(tmp_path):
