@@ -261,11 +261,10 @@ def _forward_impl(params, tokens, mode, graph, want_trace):
         raise ValueError("traces are collected for single sequences only")
     mode = GateMode(mode if mode is not None else cfg.gate_mode)
 
-    flat = tokens.reshape(-1)
-    pos = np.tile(np.arange(n), n_seqs)
-    x = nc.add(
-        nc.gather_rows(params.tok_emb, flat, graph),
-        nc.gather_rows(params.pos_emb, pos, graph),
+    # the n position rows are gathered once and added to every sequence
+    x = nc.add_row(
+        nc.gather_rows(params.tok_emb, tokens.reshape(-1), graph),
+        nc.gather_rows(params.pos_emb, np.arange(n), graph),
         graph,
     )
     trace = ActivationTrace() if want_trace else None

@@ -191,7 +191,8 @@ def backward(graph: GradGraph, loss: Tensor2) -> None:
         raise DimensionError(f"backward root must be a 1x1 scalar, got {loss.shape}")
     grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1), dtype=loss.dtype)}
     for out, inputs, vjp in reversed(graph._records):
-        g = grads.get(id(out))
+        # an op's output is never a leaf, so its gradient is dropped once used
+        g = grads.pop(id(out), None)
         if g is None:
             continue
         # in-place accumulation below relies on vjps never returning one
@@ -251,14 +252,20 @@ def add(x: Tensor2, y: Tensor2, graph: GradGraph | None = None) -> Tensor2:
 
 @_quiet
 def add_row(x: Tensor2, row: Tensor2, graph: GradGraph | None = None) -> Tensor2:
-    """Broadcast-add a [1 x d] row to every row of x (the only broadcast allowed)."""
-    if row.rows != 1 or row.cols != x.cols:
-        raise DimensionError(f"add_row: expected [1x{x.cols}] row, got {row.shape}")
-    out_data = x.data + row.data
+    """Broadcast-add a [k x d] block to every k-row block of x (the only
+    broadcast allowed); k = 1 adds one row to every row."""
+    k, d = row.shape
+    if d != x.cols or x.rows % k != 0:
+        raise DimensionError(
+            f"add_row: expected a [k x {x.cols}] block with k dividing {x.rows}, got {row.shape}"
+        )
+    blocks = x.rows // k
+    out_data = (x.data.reshape(blocks, k, d) + row.data).reshape(x.shape)
     _check_finite(out_data, "add_row")
     out = Tensor2(out_data)
     if graph is not None:
-        graph.record(out, (x, row), lambda g: (g, g.sum(axis=0, keepdims=True)))
+        # sums the blocks in order, so it equals np.add.at over tiled indices
+        graph.record(out, (x, row), lambda g: (g, g.reshape(blocks, k, d).sum(axis=0)))
     return out
 
 
@@ -315,20 +322,38 @@ _GELU_A = 0.044715
 
 @_quiet
 def gelu(x: Tensor2, graph: GradGraph | None = None) -> Tensor2:
-    """Smooth GELU (tanh form)."""
+    """Smooth GELU (tanh form).
+
+    In-place evaluation of 0.5 * x * (1 + t), t = tanh(c * (x + a * x^3)),
+    operation by operation in the order of the plain formula, so results are
+    bitwise equal to it. With a graph, the derivative is computed here once
+    and the vjp is g * d.
+    """
     xd = x.data
-    u = _GELU_C * (xd + _GELU_A * xd * xd * xd)
-    t = np.tanh(u)
-    out_data = 0.5 * xd * (1.0 + t)
+    t = xd * _GELU_A
+    t *= xd
+    t *= xd
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    half_x = xd * 0.5
+    out_data = t + 1.0
+    d = out_data * 0.5 if graph is not None else None
+    out_data *= half_x
     _check_finite(out_data, "gelu")
     out = Tensor2(out_data)
     if graph is not None:
-
-        def vjp(g):
-            du = _GELU_C * (1.0 + 3.0 * _GELU_A * xd * xd)
-            return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du),)
-
-        graph.record(out, (x,), vjp)
+        # d = 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * (c * (1 + 3a * x * x))
+        np.multiply(t, t, out=t)
+        np.subtract(1.0, t, out=t)
+        t *= half_x
+        du = np.multiply(xd, 3.0 * _GELU_A, out=half_x)  # half_x is spent
+        du *= xd
+        du += 1.0
+        du *= _GELU_C
+        t *= du
+        d += t
+        graph.record(out, (x,), lambda g: (g * d,))
     return out
 
 
@@ -359,25 +384,27 @@ def layer_norm(
             f"layer_norm: gain/bias must be [1x{d}], got {gain.shape}, {bias.shape}"
         )
     mean = x.data.mean(axis=1, keepdims=True)
-    centered = x.data - mean
-    var = (centered * centered).mean(axis=1, keepdims=True)
+    xhat = x.data - mean
+    sq = xhat * xhat
+    var = sq.mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out_data = xhat * gain.data + bias.data
+    xhat *= inv
+    out_data = np.multiply(xhat, gain.data, out=sq)
+    out_data += bias.data
     _check_finite(out_data, "layer_norm")
     out = Tensor2(out_data)
     if graph is not None:
         gd = gain.data
 
         def vjp(g):
-            dgain = (g * xhat).sum(axis=0, keepdims=True)
+            tmp = g * xhat
+            dgain = tmp.sum(axis=0, keepdims=True)
             dbias = g.sum(axis=0, keepdims=True)
-            dxhat = g * gd
-            dx = inv * (
-                dxhat
-                - dxhat.mean(axis=1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
-            )
+            dx = g * gd  # dxhat, turned into dx in place
+            m2 = np.multiply(dx, xhat, out=tmp).mean(axis=1, keepdims=True)
+            dx -= dx.mean(axis=1, keepdims=True)
+            dx -= np.multiply(xhat, m2, out=tmp)
+            dx *= inv
             return dx, dgain, dbias
 
         graph.record(out, (x, gain, bias), vjp)
@@ -493,14 +520,17 @@ def multihead_attention(
         return t.data.reshape(n_seqs, n, n_heads, dh).transpose(0, 2, 1, 3)
 
     q4, k4, v4 = split_heads(q), split_heads(k), split_heads(v)
-    scores = (q4 @ k4.transpose(0, 1, 3, 2)) * inv
+    # the softmax runs in place on one score buffer, which becomes p
+    p = q4 @ k4.transpose(0, 1, 3, 2)
+    p *= inv
     if causal:
         tril = np.tril(np.ones((n, n), dtype=q.dtype.type))
-        scores = scores + (1.0 - tril) * MASK_NEG
-    e = np.exp(scores - scores.max(axis=3, keepdims=True))
+        p += (1.0 - tril) * MASK_NEG
+    p -= p.max(axis=3, keepdims=True)
+    np.exp(p, out=p)
     if causal:
-        e = e * tril
-    p = e / e.sum(axis=3, keepdims=True)
+        p *= tril
+    p /= p.sum(axis=3, keepdims=True)
     out4 = p @ v4
     out_data = out4.transpose(0, 2, 1, 3).reshape(total, d)
     _check_finite(out_data, "multihead_attention")
@@ -509,11 +539,14 @@ def multihead_attention(
 
         def vjp(g):
             g4 = g.reshape(n_seqs, n, n_heads, dh).transpose(0, 2, 1, 3)
-            dp = g4 @ v4.transpose(0, 1, 3, 2)
+            ds = g4 @ v4.transpose(0, 1, 3, 2)  # dp, turned into ds in place
             dv4 = p.transpose(0, 1, 3, 2) @ g4
-            ds = p * (dp - (p * dp).sum(axis=3, keepdims=True))
-            dq4 = (ds @ k4) * inv
-            dk4 = (ds.transpose(0, 1, 3, 2) @ q4) * inv
+            ds -= (p * ds).sum(axis=3, keepdims=True)
+            ds *= p
+            dq4 = ds @ k4
+            dq4 *= inv
+            dk4 = ds.transpose(0, 1, 3, 2) @ q4
+            dk4 *= inv
 
             def merge(t4):  # [S, h, n, dh] -> [(S*n) x d]
                 return np.ascontiguousarray(t4.transpose(0, 2, 1, 3).reshape(total, d))

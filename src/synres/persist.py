@@ -315,8 +315,9 @@ _SECTIONS = {"model": ModelConfig, "train": TrainConfig, "task": TaskSpec}
 
 
 def load_config(path) -> RunSpec:
-    """Strict sectioned key-value config; unknown sections or keys are errors."""
-    parser = configparser.ConfigParser(interpolation=None)
+    """Strict sectioned key-value config; unknown sections or keys are errors.
+    A `;` or `#` after whitespace starts a comment, on its own line or after a value."""
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     parser.optionxform = str
     path = Path(path)
     if not path.exists():

@@ -1,5 +1,6 @@
 """Command surface: exit codes, artifacts, determinism of emitted files."""
 
+import platform
 import subprocess
 import sys
 
@@ -140,6 +141,18 @@ def test_eval_deterministic(trained, tmp_path):
     assert "retention_percent" in (out1 / "eval.csv").read_text()
 
 
+def test_eval_run_id_follows_checkpoint_content(trained, tmp_path):
+    args = ["--task", "copy", "--seq-len", "10", "--vocab-size", "32", "--samples", "8"]
+    bodies = []
+    for name in ("a", "b"):
+        copy = tmp_path / name / f"{name}.ckpt"
+        copy.parent.mkdir()
+        copy.write_bytes(trained.read_bytes())
+        assert main(["eval", str(copy), *args, "--out", str(tmp_path / f"ev_{name}")]) == 0
+        bodies.append((tmp_path / f"ev_{name}" / "eval.csv").read_text())
+    assert bodies[0] == bodies[1]
+
+
 def test_eval_from_artifact(trained, tmp_path):
     art = tmp_path / "data.ds"
     assert main(["gen-data", "--task", "kv_recall", "--distances", "4,6",
@@ -187,6 +200,24 @@ def test_bench_overlength_exit2(config_path, tmp_path):
     assert rc == 2
 
 
+def test_bench_flop_check_holds_under_optimize(config_path):
+    # a census that disagrees with the timed forwards must fail even under -O
+    code = (
+        "import dataclasses, sys\n"
+        "from synres import cli\n"
+        "census = cli.count_flops\n"
+        "cli.count_flops = lambda *a, **k: dataclasses.replace(census(*a, **k), gate=1)\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code, "bench", "--config", str(config_path),
+         "--seq-lens", "4", "--reps", "20"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode != 0
+    assert "gate flop delta" in proc.stderr
+
+
 def test_bench_needs_exactly_one_source(config_path):
     assert main(["bench"]) == 2
     assert main(["bench", "--config", str(config_path), "--ckpt", "x.ckpt"]) == 2
@@ -214,6 +245,13 @@ def test_gen_data_incompatible_distances_exit2(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+def test_gen_data_creates_output_directory(tmp_path):
+    art = tmp_path / "data" / "nested" / "copy.ds"
+    assert main(["gen-data", "--task", "copy", "--seq-len", "12", "--vocab-size", "64",
+                 "--samples", "10", "--out", str(art)]) == 0
+    assert art.exists() and (art.parent / "copy.ds.json").exists()
+
+
 def test_gen_data_round_trips_through_loader(tmp_path):
     art = tmp_path / "kv.ds"
     assert main(["gen-data", "--task", "kv_recall", "--distances", "4,8",
@@ -237,3 +275,23 @@ def test_module_entry_help():
     assert proc.returncode == 0
     for command in ("train", "eval", "bench", "gen-data"):
         assert command in proc.stdout
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt settings are glibc's")
+def test_heap_retained_by_the_command_line_only():
+    # counts mallopt lookups: none while importing synres, one per main()
+    code = (
+        "import ctypes\n"
+        "calls = []\n"
+        "class Spy(ctypes.CDLL):\n"
+        "    def __getattr__(self, name):\n"
+        "        calls.extend([name] if name == 'mallopt' else [])\n"
+        "        return super().__getattr__(name)\n"
+        "ctypes.CDLL = Spy\n"
+        "import synres, synres.cli\n"
+        "before = len(calls)\n"
+        "code = synres.cli.main(['bench'])\n"
+        "print(before, code, len(calls), synres.cli._retain_freed_heap())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout.split() == ["0", "2", "1", "True"], proc.stderr

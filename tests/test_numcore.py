@@ -340,6 +340,12 @@ def test_grad_check_gather_add_row():
     assert nc.grad_check(fn, [rnd(3, 4, seed=13), rnd(1, 4, seed=14)], eps=1e-5) < 1e-6
 
 
+def test_grad_check_add_row_block():
+    # a [2 x 4] block added to each 2-row block of a [6 x 4] input
+    fn = _scalarize(lambda ins, g: nc.add_row(ins[0], ins[1], g))
+    assert nc.grad_check(fn, [rnd(6, 4, seed=56), rnd(2, 4, seed=57)], eps=1e-5) < 1e-6
+
+
 def test_grad_check_multihead_attention():
     def fn(ins, g):
         out = nc.multihead_attention(ins[0], ins[1], ins[2], n_heads=2, n_seqs=2, graph=g)
@@ -405,6 +411,152 @@ def test_attention_blocks_do_not_mix_sequences():
             n_heads=2,
         ).data
         np.testing.assert_array_equal(joint[s * 4 : (s + 1) * 4], part)
+
+
+# --------------------------------------------------------------------------
+# in-place kernels against their plain formulas, bitwise
+# --------------------------------------------------------------------------
+# The kernels run the operations below in place and in the same order; these
+# references are the formulas they replaced. Shapes are training-sized so
+# the vectorised loops run with tails.
+
+
+def _vjp_of_last_op(run):
+    """Forward output and the vjp the op recorded."""
+    graph = nc.GradGraph()
+    out = run(graph)
+    return out, graph._records[-1][2]
+
+
+def ref_gelu(xd, g):
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    t = np.tanh(c * (xd + a * xd * xd * xd))
+    du = c * (1.0 + 3.0 * a * xd * xd)
+    return 0.5 * xd * (1.0 + t), g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du)
+
+
+def ref_layer_norm(xd, gd, bd, eps, g):
+    mean = xd.mean(axis=1, keepdims=True)
+    centered = xd - mean
+    var = (centered * centered).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    dxhat = g * gd
+    dx = inv * (
+        dxhat
+        - dxhat.mean(axis=1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+    )
+    out = xhat * gd + bd
+    return out, (dx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True))
+
+
+def ref_attention(q, k, v, n_heads, n_seqs, causal, g):
+    total_rows, d = q.shape
+    n, dh = total_rows // n_seqs, d // n_heads
+    inv = 1.0 / math.sqrt(dh)
+    split = lambda t: t.reshape(n_seqs, n, n_heads, dh).transpose(0, 2, 1, 3)
+    merge = lambda t4: np.ascontiguousarray(t4.transpose(0, 2, 1, 3).reshape(total_rows, d))
+    q4, k4, v4, g4 = split(q), split(k), split(v), split(g)
+    scores = (q4 @ k4.transpose(0, 1, 3, 2)) * inv
+    if causal:
+        tril = np.tril(np.ones((n, n), dtype=q.dtype.type))
+        scores = scores + (1.0 - tril) * nc.MASK_NEG
+    e = np.exp(scores - scores.max(axis=3, keepdims=True))
+    if causal:
+        e = e * tril
+    p = e / e.sum(axis=3, keepdims=True)
+    dp = g4 @ v4.transpose(0, 1, 3, 2)
+    ds = p * (dp - (p * dp).sum(axis=3, keepdims=True))
+    grads = ((ds @ k4) * inv, (ds.transpose(0, 1, 3, 2) @ q4) * inv, p.transpose(0, 1, 3, 2) @ g4)
+    return merge(p @ v4), p, tuple(merge(t4) for t4 in grads)
+
+
+def assert_bitwise(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+DTYPES = [np.float32, np.float64]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_gelu_bitwise_against_formula(dtype):
+    x = rnd(136, 259, seed=40, dtype=dtype, scale=3.0)
+    g = rnd(136, 259, seed=41, dtype=dtype).data
+    out, vjp = _vjp_of_last_op(lambda graph: nc.gelu(x, graph))
+    ref_out, ref_dx = ref_gelu(x.data, g)
+    assert_bitwise(out.data, ref_out)
+    assert_bitwise(nc.gelu(x).data, ref_out)
+    (dx,) = vjp(g)
+    assert_bitwise(dx, ref_dx)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_layer_norm_bitwise_against_formula(dtype):
+    x = rnd(136, 67, seed=42, dtype=dtype, scale=2.0)
+    gain, bias = rnd(1, 67, seed=43, dtype=dtype), rnd(1, 67, seed=44, dtype=dtype)
+    g = rnd(136, 67, seed=45, dtype=dtype).data
+    out, vjp = _vjp_of_last_op(lambda graph: nc.layer_norm(x, gain, bias, eps=1e-5, graph=graph))
+    ref_out, ref_grads = ref_layer_norm(x.data, gain.data, bias.data, 1e-5, g)
+    assert_bitwise(out.data, ref_out)
+    assert_bitwise(nc.layer_norm(x, gain, bias, eps=1e-5).data, ref_out)
+    for got, want in zip(vjp(g), ref_grads):
+        assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("causal", [True, False])
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_attention_bitwise_against_formula(dtype, causal):
+    n_seqs, n_heads = 3, 4
+    q, k, v = (rnd(3 * 34, 64, seed=s, dtype=dtype, scale=2.0) for s in (46, 47, 48))
+    g = rnd(3 * 34, 64, seed=49, dtype=dtype).data
+    ref_out, ref_p, ref_grads = ref_attention(q.data, k.data, v.data, n_heads, n_seqs, causal, g)
+    out, vjp = _vjp_of_last_op(lambda graph: nc.multihead_attention(
+        q, k, v, n_heads, n_seqs=n_seqs, causal=causal, graph=graph
+    ))
+    assert_bitwise(out.data, ref_out)
+    _, p = nc.multihead_attention(q, k, v, n_heads, n_seqs=n_seqs, causal=causal, want_probs=True)
+    assert_bitwise(p, ref_p)
+    for got, want in zip(vjp(g), ref_grads):
+        assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_add_row_bitwise_against_broadcast(dtype):
+    x, row = rnd(96, 64, seed=50, dtype=dtype), rnd(1, 64, seed=51, dtype=dtype)
+    g = rnd(96, 64, seed=52, dtype=dtype).data
+    out, vjp = _vjp_of_last_op(lambda graph: nc.add_row(x, row, graph))
+    assert_bitwise(out.data, x.data + row.data)
+    dx, drow = vjp(g)
+    assert dx is g
+    assert_bitwise(drow, g.sum(axis=0, keepdims=True))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_tiled_position_gradient_matches_add_at(dtype):
+    # S sequences of n positions: adding the n gathered rows to each sequence
+    # must match gathering np.tile(arange(n), S) and scattering with np.add.at
+    n_seqs, n, d = 32, 34, 64
+    table = rnd(40, d, seed=53, dtype=dtype)
+    x = rnd(n_seqs * n, d, seed=54, dtype=dtype)
+    g = rnd(n_seqs * n, d, seed=55, dtype=dtype).data
+    graph = nc.GradGraph()
+    out = nc.add_row(x, nc.gather_rows(table, np.arange(n), graph), graph)
+    _, drow = graph._records[-1][2](g)
+    (dtable,) = graph._records[0][2](drow)
+    pos = np.tile(np.arange(n), n_seqs)
+    assert_bitwise(out.data, x.data + table.data[pos])
+    want = np.zeros_like(table.data)
+    np.add.at(want, pos, g)
+    assert_bitwise(dtable, want)
+
+
+def test_add_row_block_must_tile_rows():
+    with pytest.raises(nc.DimensionError):
+        nc.add_row(nc.zeros(6, 4), nc.zeros(4, 4))
+    with pytest.raises(nc.DimensionError):
+        nc.add_row(nc.zeros(6, 4), nc.zeros(3, 5))
 
 
 # --------------------------------------------------------------------------

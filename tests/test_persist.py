@@ -206,6 +206,15 @@ def test_config_round_trip(tmp_path):
     assert load_config(out) == spec
 
 
+def test_config_inline_comments(tmp_path):
+    plain, commented = tmp_path / "plain.cfg", tmp_path / "commented.cfg"
+    plain.write_text(GOOD_CONFIG)
+    commented.write_text(GOOD_CONFIG.replace(
+        "ppl_threshold = none", "ppl_threshold = none   ; none resolves to 1.5 * vocab_size"
+    ).replace("kind = copy", "kind = copy  # copy | kv_recall | corpus"))
+    assert load_config(commented) == load_config(plain)
+
+
 def test_config_unknown_key_is_hard_error(tmp_path):
     path = tmp_path / "typo.cfg"
     path.write_text(GOOD_CONFIG.replace("lr = 0.01", "lr = 0.01\nlearningrate = 0.5"))
