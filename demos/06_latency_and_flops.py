@@ -15,7 +15,7 @@ params = init_params(cfg, Rng(0))
 lens = (128, 256, 512, 1000)
 
 curves = {
-    mode: latency_bench(params, seq_lens=lens, repetitions=20, mode=mode)
+    mode: latency_bench(params.with_gate_mode(mode), seq_lens=lens, repetitions=20)
     for mode in (GateMode.LEARNED, GateMode.DISABLED)
 }
 

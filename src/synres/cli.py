@@ -197,7 +197,9 @@ def cmd_eval(args) -> int:
         target = _dtype_of(args.precision)
         for _, t in params.named_tensors():
             t.data = t.data.astype(target)
-    mode = GateMode(args.gate_mode) if args.gate_mode else params.config.gate_mode
+    if args.gate_mode:
+        params = params.with_gate_mode(args.gate_mode)
+    mode = params.config.gate_mode
     dataset, task, layout = _generate_eval_data(args)
     if dataset.seq_len > params.config.max_seq_len:
         raise ConfigError(
@@ -222,20 +224,20 @@ def cmd_eval(args) -> int:
 
     rows = [",".join(METRICS_COLUMNS)]
     if "perplexity" in wanted:
-        rows.append(row("perplexity", perplexity(params, dataset, mode=mode)))
+        rows.append(row("perplexity", perplexity(params, dataset)))
     if "retention" in wanted and dataset.meta is not None:
-        report = retention_probe(params, dataset, layout, mode=mode)
+        report = retention_probe(params, dataset, layout)
         rows.append(row("retention_percent", report.aggregate_percent))
         for d in sorted(report.per_distance):
             rows.append(row(f"retention_at_{d}", 100.0 * report.per_distance[d]))
     if "noise" in wanted:
         grid = noise_robustness(
-            params, dataset, layout, levels=args.noise_levels, rng=Rng(args.seed), mode=mode
+            params, dataset, layout, levels=args.noise_levels, rng=Rng(args.seed)
         )
         for level, err in grid.rows:
             rows.append(row(f"error_rate_at_noise_{int(level)}", err))
     if "coherence" in wanted and dataset.meta is None:
-        for t, acc, count in coherence_curve(params, dataset, mode=mode):
+        for t, acc, count in coherence_curve(params, dataset):
             if count:
                 rows.append(row(f"coherence_at_{t}", acc))
     _emit(rows, args.out, "eval.csv")
@@ -245,11 +247,6 @@ def cmd_eval(args) -> int:
 # --------------------------------------------------------------------------
 # bench
 # --------------------------------------------------------------------------
-
-
-def _default_bench_lens(max_seq_len: int) -> tuple[int, ...]:
-    """Powers of two from 8 below the model's context, then the context itself."""
-    return tuple(2**i for i in range(3, (max_seq_len - 1).bit_length())) + (max_seq_len,)
 
 
 def cmd_bench(args) -> int:
@@ -263,12 +260,12 @@ def cmd_bench(args) -> int:
             raise ConfigError(f"{args.config}: bench needs a [model] section")
         params = init_params(spec.model, Rng(args.seed), dtype=_dtype_of(args.precision))
     cfg = params.config
-    seq_lens = args.seq_lens or _default_bench_lens(cfg.max_seq_len)
 
     curves = {}
     for mode in (GateMode.LEARNED, GateMode.DISABLED):
         curves[mode] = latency_bench(
-            params, seq_lens=seq_lens, repetitions=args.reps, mode=mode, seed=args.seed
+            params.with_gate_mode(mode), seq_lens=args.seq_lens, repetitions=args.reps,
+            seed=args.seed,
         )
     rows = ["seq_len,gate_mode,median_ms,flops"]
     for mode, curve in curves.items():
@@ -330,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--noise-levels", type=_int_list, default=DEFAULT_NOISE_LEVELS)
     p_eval.add_argument("--metrics", default="all",
                         help="comma list of perplexity,retention,noise,coherence")
-    p_eval.add_argument("--gate-mode", choices=[m.value for m in GateMode])
+    p_eval.add_argument("--gate-mode", choices=[m.value for m in GateMode],
+                        help="evaluate the checkpoint's weights under this gate mode")
     p_eval.add_argument("--seed", type=int, default=0, help="noise evaluation seed")
     p_eval.add_argument("--precision", type=int, choices=[32, 64],
                         help="cast loaded parameters before evaluating")

@@ -1,9 +1,11 @@
 """Measurement surface: perplexity, retention probe, noise grid, coherence
 curve, latency benchmark, and the paired gate-on/gate-off ablation runner.
 
-Evaluation never records gradients and never mutates parameters. All accuracy
-metrics use greedy argmax; the retention scorer restricts the argmax to the
-value-token range so chance level is exactly 1/|values|.
+Evaluation never records gradients and never mutates parameters. Every
+function runs the gate in params.config's mode; to evaluate the same weights
+under another mode, pass params.with_gate_mode(mode). All accuracy metrics use
+greedy argmax; the retention scorer restricts the argmax to the value-token
+range so chance level is exactly 1/|values|.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from .model import GateMode, ModelConfig, Params, count_flops, forward, forward_
 from .numcore import Rng, _row_nll
 
 DEFAULT_NOISE_LEVELS = (0, 10, 20, 30)
+# long-context lengths, beyond every shipped config's max_seq_len; latency_bench
+# derives its default lengths from the model instead
 DEFAULT_BENCH_LENS = (128, 256, 512, 1000)
 EVAL_CHUNK = 64  # rows per forward pass during evaluation
 
@@ -74,13 +78,13 @@ def _eval_chunks(dataset: Batch):
         yield dataset.rows(slice(at, at + EVAL_CHUNK))
 
 
-def perplexity(params: Params, dataset: Batch, mode: GateMode | None = None) -> float:
+def perplexity(params: Params, dataset: Batch) -> float:
     """exp of the token-count-weighted mean NLL over all masked-in positions."""
     if dataset.n_rows == 0:
         raise ValueError("empty evaluation stream")
     total, count = 0.0, 0
     for chunk in _eval_chunks(dataset):
-        logits = forward_batch(params, chunk.tokens, mode=mode)
+        logits = forward_batch(params, chunk.tokens)
         msk = chunk.loss_mask.reshape(-1)
         safe_tgt = np.where(msk, chunk.targets.reshape(-1), 0)
         nll, _, _ = _row_nll(logits.data.astype(np.float64), safe_tgt)
@@ -92,14 +96,13 @@ def perplexity(params: Params, dataset: Batch, mode: GateMode | None = None) -> 
 def greedy_predictions(
     params: Params,
     dataset: Batch,
-    mode: GateMode | None = None,
     value_range: tuple[int, int] | None = None,
 ) -> np.ndarray:
     """[B x n] argmax predictions, optionally restricted to a token range."""
     out = np.empty_like(dataset.tokens)
     at = 0
     for chunk in _eval_chunks(dataset):
-        logits = forward_batch(params, chunk.tokens, mode=mode).data
+        logits = forward_batch(params, chunk.tokens).data
         if value_range is not None:
             lo, hi = value_range
             pred = lo + logits[:, lo:hi].argmax(axis=1)
@@ -113,11 +116,10 @@ def greedy_predictions(
 def masked_accuracy(
     params: Params,
     dataset: Batch,
-    mode: GateMode | None = None,
     value_range: tuple[int, int] | None = None,
 ) -> float:
     """Exact-match fraction over masked-in positions."""
-    pred = greedy_predictions(params, dataset, mode=mode, value_range=value_range)
+    pred = greedy_predictions(params, dataset, value_range=value_range)
     msk = dataset.loss_mask
     return float((pred[msk] == dataset.targets[msk]).mean())
 
@@ -133,20 +135,13 @@ def _by_distance(row_hits: np.ndarray, distances: np.ndarray) -> RetentionReport
     return RetentionReport(per_distance=per_distance, counts=counts)
 
 
-def retention_probe(
-    params: Params,
-    dataset: Batch,
-    layout: VocabLayout,
-    mode: GateMode | None = None,
-) -> RetentionReport:
+def retention_probe(params: Params, dataset: Batch, layout: VocabLayout) -> RetentionReport:
     """Greedy recall of the planted value at each query, bucketed by the
     planted distance. Argmax is restricted to the value range, making chance
     level exactly 1/|values|."""
     if dataset.meta is None:
         raise ValueError("retention probe needs per-row distance meta")
-    pred = greedy_predictions(
-        params, dataset, mode=mode, value_range=(layout.value_lo, layout.value_hi)
-    )
+    pred = greedy_predictions(params, dataset, value_range=(layout.value_lo, layout.value_hi))
     hits = pred[dataset.loss_mask] == dataset.targets[dataset.loss_mask]
     return _by_distance(hits.reshape(dataset.n_rows), dataset.meta)  # one scored position per row
 
@@ -157,7 +152,6 @@ def noise_robustness(
     layout: VocabLayout,
     levels=DEFAULT_NOISE_LEVELS,
     rng: Rng | None = None,
-    mode: GateMode | None = None,
 ) -> NoiseGrid:
     """Masked-position error rate after replacing input tokens at each noise
     level (percent). Level 0 reproduces the clean evaluation bitwise."""
@@ -168,19 +162,15 @@ def noise_robustness(
     rows = []
     for level in levels:
         noisy = inject_noise(dataset, level / 100.0, layout, rng.split())
-        acc = masked_accuracy(params, noisy, mode=mode, value_range=value_range)
+        acc = masked_accuracy(params, noisy, value_range=value_range)
         rows.append((float(level), 100.0 * (1.0 - acc)))
     return NoiseGrid(rows=rows)
 
 
-def coherence_curve(
-    params: Params,
-    dataset: Batch,
-    mode: GateMode | None = None,
-) -> list[tuple[int, float, int]]:
+def coherence_curve(params: Params, dataset: Batch) -> list[tuple[int, float, int]]:
     """Per-position exact-match accuracy: (position, accuracy, sample count)
     for every position; positions with no scored samples report zero count."""
-    pred = greedy_predictions(params, dataset, mode=mode)
+    pred = greedy_predictions(params, dataset)
     correct = (pred == dataset.targets) & dataset.loss_mask
     rows = []
     for t in range(dataset.seq_len):
@@ -192,36 +182,41 @@ def coherence_curve(
 
 def latency_bench(
     params: Params,
-    seq_lens=DEFAULT_BENCH_LENS,
+    seq_lens=None,
     repetitions: int = 20,
     warmups: int = 3,
-    mode: GateMode | None = None,
     seed: int = 0,
 ) -> LatencyCurve:
     """Median wall-clock of full-sequence forward passes on fixed random
-    tokens, with the closed-form flop estimate attached. Run exclusively."""
+    tokens, with the closed-form flop estimate attached. Run exclusively.
+    seq_lens None times the powers of two from 8 below the model's
+    max_seq_len, then max_seq_len itself."""
     cfg = params.config
+    if seq_lens is None:
+        top = cfg.max_seq_len
+        seq_lens = tuple(2**i for i in range(3, (top - 1).bit_length())) + (top,)
     if any(n > cfg.max_seq_len or n < 1 for n in seq_lens):
         raise ValueError(f"sequence lengths must fit in [1, {cfg.max_seq_len}]")
-    mode = GateMode(mode if mode is not None else cfg.gate_mode)
     rows = []
     for n in seq_lens:
         tokens = Rng(seed).integers(0, cfg.vocab_size, size=n)
         for _ in range(warmups):
-            forward(params, tokens, mode=mode)
+            forward(params, tokens)
         timings = []
         for _ in range(repetitions):
             started = time.perf_counter()
-            forward(params, tokens, mode=mode)
+            forward(params, tokens)
             timings.append((time.perf_counter() - started) * 1000.0)
         rows.append(
             LatencyRow(
                 seq_len=int(n),
                 median_ms=float(np.median(timings)),
-                flops=count_flops(cfg, n, mode).total,
+                flops=count_flops(cfg, n).total,
             )
         )
-    return LatencyCurve(rows=rows, gate_mode=mode, repetitions=repetitions, warmups=warmups)
+    return LatencyCurve(
+        rows=rows, gate_mode=cfg.gate_mode, repetitions=repetitions, warmups=warmups
+    )
 
 
 def lookup_oracle(batch: Batch, layout: VocabLayout) -> np.ndarray:
@@ -282,7 +277,8 @@ def ablate(
     dtype=np.float32,
 ) -> AblationResult:
     """Two full trainings differing only in gate mode (learned vs disabled),
-    on bitwise-identical data and seeds. Deltas are reported, never asserted."""
+    on bitwise-identical data and seeds. Each arm's params carry its own gate
+    mode. Deltas are reported, never asserted."""
     from .train import run_training  # deferred: train uses perplexity from here
 
     data = build_task_data(task_spec, layout)
@@ -296,12 +292,9 @@ def ablate(
         )
         retention = None
         if data[1].meta is not None:
-            retention = retention_probe(
-                result.params, data[1], layout, mode=gate_mode
-            ).aggregate_percent
+            retention = retention_probe(result.params, data[1], layout).aggregate_percent
         grid = noise_robustness(
-            result.params, data[1], layout, levels=noise_levels,
-            rng=Rng(train_config.seed), mode=gate_mode,
+            result.params, data[1], layout, levels=noise_levels, rng=Rng(train_config.seed)
         )
         arms[gate_mode] = ArmSummary(
             gate_mode=gate_mode,

@@ -5,11 +5,15 @@ map r = sigmoid(a @ w_s) over the attention output a and reinforces it as
 o = a * r before the residual add. The gate can be learned, forced to ones,
 or disabled entirely (the ablation baseline); forced_ones and disabled are
 bitwise-equivalent in the forward pass.
+
+The gate mode is part of ModelConfig and so of every checkpoint. Training and
+evaluation read it from params.config; Params.with_gate_mode runs the same
+weights under another mode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator
 
@@ -122,6 +126,10 @@ class Params:
             final_bias=self.final_bias.copy(),
             unembed=self.unembed.copy(),
         )
+
+    def with_gate_mode(self, mode: GateMode) -> "Params":
+        """Shallow copy whose config runs the gate in mode; shares every tensor."""
+        return replace(self, config=replace(self.config, gate_mode=GateMode(mode)))
 
     def count(self) -> int:
         return sum(t.data.size for _, t in self.named_tensors())
@@ -292,18 +300,16 @@ def forward(
 ) -> tuple[Tensor2, ActivationTrace | None]:
     """Run one token sequence through the model; logits row t depends only on
     tokens 0..t. mode defaults to the config's gate_mode."""
+    # the one entry point that still takes a per-call mode: the latency
+    # benchmark and its tracer time both gate modes on one set of params
+    # through forward(..., mode=) and count_flops(config, n, mode)
     return _forward_impl(params, np.asarray(tokens).reshape(-1), mode, graph, want_trace)
 
 
-def forward_batch(
-    params: Params,
-    tokens,
-    mode: GateMode | None = None,
-    graph: GradGraph | None = None,
-) -> Tensor2:
-    """Run a [B x n] token matrix in one pass; returns [(B*n) x V] logits with
-    row b*n + t holding sequence b position t."""
-    logits, _ = _forward_impl(params, tokens, mode, graph, want_trace=False)
+def forward_batch(params: Params, tokens, graph: GradGraph | None = None) -> Tensor2:
+    """Run a [B x n] token matrix in one pass under the config's gate mode;
+    returns [(B*n) x V] logits with row b*n + t holding sequence b position t."""
+    logits, _ = _forward_impl(params, tokens, None, graph, want_trace=False)
     return logits
 
 

@@ -270,17 +270,6 @@ def add_row(x: Tensor2, row: Tensor2, graph: GradGraph | None = None) -> Tensor2
 
 
 @_quiet
-def add_const(x: Tensor2, const, graph: GradGraph | None = None) -> Tensor2:
-    """Add a non-trainable constant (scalar or same-shape array); grad passes through."""
-    out_data = x.data + np.asarray(const, dtype=x.dtype)
-    _check_finite(out_data, "add_const")
-    out = Tensor2(out_data)
-    if graph is not None:
-        graph.record(out, (x,), lambda g: (g,))
-    return out
-
-
-@_quiet
 def scale(x: Tensor2, c: float, graph: GradGraph | None = None) -> Tensor2:
     """Multiply by a constant scalar."""
     out_data = x.data * c

@@ -100,8 +100,9 @@ def loss(
     """total = cross entropy + reg_weight * sum of squared gate norms.
 
     Returns (total, ce, reg); total is the backward root. With
-    synaptic_frozen the reg term is a constant: its value still reports, but
-    no gradient reaches the gate matrices.
+    synaptic_frozen the reg term is computed off the graph, so it enters the
+    total as a constant leaf: its value still reports, but no gradient
+    reaches the gate matrices.
     """
     ce = nc.cross_entropy_logits(logits, targets, mask, graph)
     if not synaptic or reg_weight == 0.0:
@@ -113,11 +114,7 @@ def loss(
         term = nc.frobenius_sq(w_s, reg_graph)
         raw = term if raw is None else nc.add(raw, term, reg_graph)
     reg = nc.scale(raw, reg_weight, reg_graph)
-    if synaptic_frozen:
-        total = nc.add_const(ce, reg.item(), graph)
-    else:
-        total = nc.add(ce, reg, graph)
-    return total, ce, reg
+    return nc.add(ce, reg, graph), ce, reg
 
 
 def sgd_step(
@@ -163,14 +160,13 @@ def train_epoch(
     batch_stream,
     config: TrainConfig,
     lr: float,
-    mode: GateMode | None = None,
     on_step=None,
 ) -> EpochStats:
     """One pass over the batch stream: forward, loss, one backward, one SGD
-    step per batch, updating transformer and gate parameters jointly.
-    on_step(index, total, ce, reg) is called with each step's loss values."""
-    mode = GateMode(mode if mode is not None else params.config.gate_mode)
-    frozen = mode != GateMode.LEARNED
+    step per batch, updating transformer and gate parameters jointly, under
+    params.config's gate mode. on_step(index, total, ce, reg) is called with
+    each step's loss values."""
+    frozen = params.config.gate_mode != GateMode.LEARNED
     totals = np.zeros(3, dtype=np.float64)
     stats = EpochStats()
     for index, batch in enumerate(batch_stream):
@@ -178,7 +174,7 @@ def train_epoch(
             graph = GradGraph()
             for _, t in params.named_tensors():
                 graph.watch(t)
-            logits = forward_batch(params, batch.tokens, mode=mode, graph=graph)
+            logits = forward_batch(params, batch.tokens, graph=graph)
             total, ce, reg = loss(
                 logits,
                 batch.targets.reshape(-1),
@@ -234,14 +230,23 @@ def run_training(
 ) -> TrainResult:
     """Full training: per epoch, one train pass, validation perplexity, and
     the decay check. Emits an EpochReport per epoch to metrics_sink and calls
-    on_epoch(params, report) after each. Deterministic given configs and seeds."""
+    on_epoch(params, report) after each. Deterministic given configs and seeds.
+
+    init, when given, is trained in place under model_config's gate mode; its
+    architecture must match model_config's, or ValueError is raised."""
     from .evalsuite import perplexity  # local import; evalsuite.ablate uses run_training
 
     train_ds, val_ds = data
     config = train_config.resolve(model_config.vocab_size)
     rng = Rng(config.seed)
-    params = init if init is not None else init_params(model_config, rng.split(), dtype=dtype)
-    mode = GateMode(model_config.gate_mode)
+    if init is None:
+        params = init_params(model_config, rng.split(), dtype=dtype)
+    else:
+        params = init.with_gate_mode(model_config.gate_mode)
+        if params.config != model_config:
+            raise ValueError(
+                f"init architecture {init.config} differs from model_config {model_config}"
+            )
     lr = config.lr
     history: list[EpochReport] = []
     digest = hashlib.sha256()
@@ -249,10 +254,10 @@ def run_training(
         started = time.perf_counter()
         stream = _digested(batches(train_ds, config.batch_size, rng.split(), shuffle=True), digest)
         try:
-            stats = train_epoch(params, stream, config, lr, mode=mode)
+            stats = train_epoch(params, stream, config, lr)
         except NumericError as err:
             raise TrainingAbort(f"epoch {epoch}: {err}", epoch, history) from err
-        val_ppl = perplexity(params, val_ds, mode=mode)
+        val_ppl = perplexity(params, val_ds)
         lr, triggered = lr_decay_check(val_ppl, lr, config)
         report = EpochReport(
             epoch=epoch,

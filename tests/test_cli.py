@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from synres.cli import main
+from synres.evalsuite import noise_robustness, perplexity, retention_probe
 from synres.model import GateMode, ModelConfig, count_flops
+from synres.numcore import Rng
 from synres.persist import load_checkpoint, load_dataset
 
 SMALL_CONFIG = """\
@@ -159,6 +161,34 @@ def test_eval_from_artifact(trained, tmp_path):
                  "--vocab-size", "32", "--samples", "20", "--out", str(art)]) == 0
     rc = main(["eval", str(trained), "--data", str(art), "--out", str(tmp_path / "ea")])
     assert rc == 0
+
+
+def test_eval_gate_mode_runs_the_checkpoint_weights_under_that_mode(trained, tmp_path):
+    art = tmp_path / "data.ds"
+    assert main(["gen-data", "--task", "kv_recall", "--distances", "4,6",
+                 "--vocab-size", "32", "--samples", "24", "--out", str(art)]) == 0
+    out = tmp_path / "off"
+    assert main(["eval", str(trained), "--data", str(art), "--gate-mode", "disabled",
+                 "--out", str(out)]) == 0
+    got = {}
+    for line in (out / "eval.csv").read_text().splitlines()[1:]:
+        fields = line.split(",")
+        assert fields[5] == "disabled"
+        got[fields[3]] = float(fields[4])
+
+    dataset, _, layout = load_dataset(art)
+    learned = load_checkpoint(trained).params
+    params = learned.with_gate_mode(GateMode.DISABLED)
+    report = retention_probe(params, dataset, layout)
+    grid = noise_robustness(params, dataset, layout, rng=Rng(0))
+    want = {
+        "perplexity": perplexity(params, dataset),
+        "retention_percent": report.aggregate_percent,
+        **{f"retention_at_{d}": 100.0 * r for d, r in report.per_distance.items()},
+        **{f"error_rate_at_noise_{int(level)}": err for level, err in grid.rows},
+    }
+    assert got == want
+    assert want["perplexity"] != perplexity(learned, dataset)
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from synres import numcore as nc
-from synres.datagen import TaskSpec, VocabLayout, gen_copy, gen_kv_recall
+from synres.datagen import TaskSpec, VocabLayout, build_task_data, gen_copy, gen_kv_recall
 from synres.evalsuite import (
     LatencyCurve,
     NoiseGrid,
@@ -225,6 +225,12 @@ def test_latency_rows_and_flops_column():
         assert row.median_ms > 0
 
 
+def test_latency_default_lengths_fit_the_model():
+    params = untrained_model(vocab=32, d=16, ctx=16)
+    curve = latency_bench(params)
+    assert [r.seq_len for r in curve.rows] == [8, 16]
+
+
 def test_latency_enforces_protocol():
     params = untrained_model(vocab=32, d=16, ctx=64)
     with pytest.raises(ValueError):
@@ -261,3 +267,20 @@ def test_ablate_pairs_arms_and_freezes_disabled_gate():
     )
     assert sunk == [(GateMode.LEARNED, 0), (GateMode.LEARNED, 1),
                     (GateMode.DISABLED, 0), (GateMode.DISABLED, 1)]
+
+
+def test_ablate_arm_params_carry_their_gate_mode():
+    # both arms start from one init; each arm's returned params must evaluate
+    # to the perplexity that arm reported
+    spec = TaskSpec.kv_recall(distances=(4, 6), samples=60, seed=21)
+    layout = VocabLayout.synthetic(5 + spec.pairs + 8, n_keys=spec.pairs, n_values=8)
+    model_cfg = ModelConfig(
+        vocab_size=layout.vocab_size, d_model=8, n_heads=2, n_layers=1, d_ff=16,
+        max_seq_len=spec.seq_len,
+    )
+    result = ablate(model_cfg, TrainConfig(epochs=1, batch_size=16, lr=0.3, seed=22),
+                    spec, layout)
+    _, val = build_task_data(spec, layout)
+    for arm in result.rows():
+        assert arm.params.config.gate_mode == arm.gate_mode
+        assert perplexity(arm.params, val) == arm.final_val_ppl

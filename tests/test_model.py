@@ -228,6 +228,17 @@ def test_forward_deterministic_replay():
     np.testing.assert_array_equal(a.data, b.data)
 
 
+def test_with_gate_mode_swaps_only_the_config():
+    params = tiny_params(seed=17)
+    off = params.with_gate_mode(GateMode.DISABLED)
+    assert (params.config.gate_mode, off.config.gate_mode) == (GateMode.LEARNED, GateMode.DISABLED)
+    for (_, a), (_, b) in zip(params.named_tensors(), off.named_tensors()):
+        assert a is b
+    toks = np.array([[3, 1, 4, 1, 5], [9, 2, 6, 5, 3]])
+    want = np.concatenate([forward(params, t, mode=GateMode.DISABLED)[0].data for t in toks])
+    np.testing.assert_array_equal(forward_batch(off, toks).data, want)
+
+
 # --------------------------------------------------------------------------
 # gradients through the model
 # --------------------------------------------------------------------------
@@ -236,7 +247,7 @@ def test_forward_deterministic_replay():
 def _model_loss(params, tokens, targets, mode, graph, lam=1e-3):
     for _, t in params.named_tensors():
         graph.watch(t)
-    logits = forward_batch(params, tokens, mode=mode, graph=graph)
+    logits = forward_batch(params.with_gate_mode(mode), tokens, graph=graph)
     ce = nc.cross_entropy_logits(logits, targets, np.ones(len(targets), dtype=bool), graph)
     reg = None
     for w_s in params.synaptic():
@@ -274,7 +285,7 @@ def test_full_model_grad_check_float64():
 
     def fn(inputs, graph):
         if graph is None:
-            logits = forward_batch(params, tokens, mode=GateMode.LEARNED)
+            logits = forward_batch(params.with_gate_mode(GateMode.LEARNED), tokens)
             ce = nc.cross_entropy_logits(logits, targets, np.ones(5, dtype=bool))
             reg = None
             for w_s in params.synaptic():

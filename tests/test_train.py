@@ -95,7 +95,7 @@ def test_loss_frozen_reg_keeps_value_drops_gradient():
     g = nc.GradGraph()
     for _, t in params.named_tensors():
         g.watch(t)
-    logits = forward_batch(params, batch.tokens, mode=GateMode.DISABLED, graph=g)
+    logits = forward_batch(params.with_gate_mode(GateMode.DISABLED), batch.tokens, graph=g)
     total, ce, reg = loss(
         logits, batch.targets.reshape(-1), batch.loss_mask.reshape(-1),
         params.synaptic(), 0.5, graph=g, synaptic_frozen=True,
@@ -316,6 +316,13 @@ def test_run_disabled_gate_freezes_synaptic_bitwise():
     expected_reg = 1e-3 * sum(float((w ** 2).sum()) for w in snapshot)
     for rep in result.history:
         np.testing.assert_allclose(rep.mean_reg, expected_reg, rtol=1e-5)
+
+
+def test_run_rejects_init_of_another_architecture():
+    init = init_params(ModelConfig(**{**CFG.__dict__, "d_model": 8}), nc.Rng(7))
+    tc = TrainConfig(epochs=1, batch_size=8, lr=0.5, seed=7)
+    with pytest.raises(ValueError, match="architecture"):
+        run_training(CFG, tc, small_data(samples=24), init=init)
 
 
 def test_run_metrics_sink_and_epoch_callback():
