@@ -19,9 +19,9 @@ gated = nc.hadamard(nc.sigmoid(nc.matmul(x, w, graph), graph), y, graph)
 loss = nc.frobenius_sq(gated, graph)
 print(f"forward: loss = {loss.item():.6f} from {graph.n_ops} recorded ops")
 
-nc.backward(graph, loss)
-print(f"backward populated gradients for {len(graph.leaves)} leaves")
-print("gradient of x, first row:", np.round(x.grad[0], 4))
+grads = nc.backward(graph, loss, [x, w, y])
+print(f"backward returned {len(grads)} gradients, one per requested tensor")
+print("gradient of x, first row:", np.round(grads[0][0], 4))
 
 # the same function as a closure, re-run per perturbed element
 def fn(inputs, g):
@@ -34,9 +34,8 @@ err = nc.grad_check(fn, [x, w, y], eps=1e-5)
 print(f"finite-difference check: max relative error {err:.2e}")
 assert err < 1e-6
 
-# an unreachable leaf gets an exact-zero gradient
+# a tensor with no path to the loss gets an exact-zero gradient
 dead = nc.Tensor2(rng.normal(2, 2, 1.0, dtype=np.float64))
 graph2 = nc.GradGraph()
-graph2.watch(dead)
-nc.backward(graph2, nc.frobenius_sq(x, graph2))
-print("unreachable leaf gradient is exactly zero:", bool((dead.grad == 0).all()))
+(dead_grad,) = nc.backward(graph2, nc.frobenius_sq(x, graph2), [dead])
+print("unreachable tensor gradient is exactly zero:", bool((dead_grad == 0).all()))

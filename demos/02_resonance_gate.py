@@ -32,7 +32,6 @@ print("disabled matches bitwise:", bool((o1.data == o2.data).all()))
 
 # gradients flow into w_s only in learned mode
 graph = nc.GradGraph()
-graph.watch(w_s)
 _, o3 = resonance_gate(a, w_s, GateMode.LEARNED, graph=graph)
-nc.backward(graph, nc.frobenius_sq(o3, graph))
-print("\nlearned-mode gradient on w_s:\n", np.round(w_s.grad, 4))
+(w_s_grad,) = nc.backward(graph, nc.frobenius_sq(o3, graph), [w_s])
+print("\nlearned-mode gradient on w_s:\n", np.round(w_s_grad, 4))

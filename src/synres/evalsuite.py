@@ -20,9 +20,6 @@ from .model import GateMode, ModelConfig, Params, count_flops, forward, forward_
 from .numcore import Rng, _row_nll
 
 DEFAULT_NOISE_LEVELS = (0, 10, 20, 30)
-# long-context lengths, beyond every shipped config's max_seq_len; latency_bench
-# derives its default lengths from the model instead
-DEFAULT_BENCH_LENS = (128, 256, 512, 1000)
 EVAL_CHUNK = 64  # rows per forward pass during evaluation
 
 

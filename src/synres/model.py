@@ -188,9 +188,6 @@ def init_params(config: ModelConfig, rng: Rng, dtype=np.float32) -> Params:
 
 @dataclass
 class LayerTrace:
-    q: Tensor2
-    k: Tensor2
-    v: Tensor2
     a: Tensor2
     r: Tensor2 | None
     o: Tensor2
@@ -215,21 +212,15 @@ class ActivationTrace:
                 raise AssertionError(f"layer {i}: o != a * r beyond {atol}")
 
 
-def _attention(x, layer, n_heads, n_seqs, graph, keep_qkv):
+def _attention(x, layer, n_heads, n_seqs, graph):
     """Causal multi-head self-attention: per head, softmax of the masked
     q k^T / sqrt(d/n_heads) applied to v; heads concatenated and projected by
-    w_o. Returns the projected output a that feeds the gate, and (q, k, v)
-    if keep_qkv is set; otherwise None, so a no-graph forward frees them."""
+    w_o. Returns the projected output a that feeds the gate."""
     q = nc.matmul(x, layer.w_q, graph)
     k = nc.matmul(x, layer.w_k, graph)
     v = nc.matmul(x, layer.w_v, graph)
-    # probs is unused but must outlive the w_o matmul: freed earlier, glibc
-    # trims the heap and faults it back (2-core VM: 3,800 -> 6,300 minor
-    # faults, about 15% slower per 64x40 no-graph forward)
-    core, probs = nc.multihead_attention(
-        q, k, v, n_heads, n_seqs=n_seqs, graph=graph, want_probs=True
-    )
-    return nc.matmul(core, layer.w_o, graph), ((q, k, v) if keep_qkv else None)
+    core = nc.multihead_attention(q, k, v, n_heads, n_seqs=n_seqs, graph=graph)
+    return nc.matmul(core, layer.w_o, graph)
 
 
 def resonance_gate(
@@ -278,10 +269,10 @@ def _forward_impl(params, tokens, mode, graph, want_trace):
     trace = ActivationTrace() if want_trace else None
     for layer in params.layers:
         h = nc.layer_norm(x, layer.ln1_gain, layer.ln1_bias, eps=LN_EPS, graph=graph)
-        a, qkv = _attention(h, layer, cfg.n_heads, n_seqs, graph, keep_qkv=want_trace)
+        a = _attention(h, layer, cfg.n_heads, n_seqs, graph)
         r, o = resonance_gate(a, layer.w_s, mode, graph)
         if trace is not None:
-            trace.layers.append(LayerTrace(*qkv, a=a, r=r, o=o))
+            trace.layers.append(LayerTrace(a=a, r=r, o=o))
         x = nc.add(x, o, graph)
         h2 = nc.layer_norm(x, layer.ln2_gain, layer.ln2_bias, eps=LN_EPS, graph=graph)
         f = nc.gelu(nc.add_row(nc.matmul(h2, layer.ffn_w1, graph), layer.ffn_b1, graph), graph)

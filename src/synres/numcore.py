@@ -1,8 +1,10 @@
 """Dense 2-D tensors with reverse-mode autodiff on an explicit op tape.
 
 Everything downstream (attention, gating, losses, training) is composed from
-the operations here. Ops are pure: they allocate fresh output tensors, verify
-the result is finite, and optionally record a vjp closure on a GradGraph.
+the operations here. Ops are pure: each computes a fresh output and returns
+through _result, which raises NumericError naming the op on a non-finite
+output, wraps it in a Tensor2 and, given a GradGraph, records the op's vjp.
+backward(graph, loss, wrt) returns the gradients of wrt; tensors hold none.
 float32 is the training precision; float64 is used for gradient verification.
 """
 
@@ -27,9 +29,9 @@ class NumericError(ArithmeticError):
 
 
 class Tensor2:
-    """A rows x cols matrix of float32 or float64 with an optional grad slot."""
+    """A rows x cols matrix of float32 or float64."""
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data",)
 
     def __init__(self, data: np.ndarray):
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
@@ -37,7 +39,6 @@ class Tensor2:
         if data.dtype not in (np.float32, np.float64):
             raise DimensionError(f"Tensor2 holds float32/float64, got {data.dtype}")
         self.data = np.ascontiguousarray(data)
-        self.grad: np.ndarray | None = None
 
     @property
     def rows(self) -> int:
@@ -149,52 +150,42 @@ _Vjp = Callable[[np.ndarray], tuple]
 class GradGraph:
     """Ordered record of executed ops, replayable in reverse for the chain rule.
 
-    Execution order is a topological order by construction. Leaves are inputs
-    that no record produced; watch() registers a leaf explicitly so it gets a
-    gradient (exact zero if unreachable from the loss). Single-writer: one
-    graph must not be mutated from two threads.
+    Execution order is a topological order by construction. The graph holds
+    no gradients; backward returns them. Single-writer: one graph must not be
+    mutated from two threads.
     """
 
     def __init__(self):
         self._records: list[tuple[Tensor2, tuple[Tensor2, ...], _Vjp]] = []
-        self._produced: set[int] = set()
-        self._leaves: dict[int, Tensor2] = {}
-
-    def watch(self, t: Tensor2) -> Tensor2:
-        if id(t) not in self._produced:
-            self._leaves.setdefault(id(t), t)
-        return t
 
     def record(self, out: Tensor2, inputs: tuple[Tensor2, ...], vjp: _Vjp) -> None:
-        for t in inputs:
-            if id(t) not in self._produced:
-                self._leaves.setdefault(id(t), t)
         self._records.append((out, inputs, vjp))
-        self._produced.add(id(out))
 
     @property
     def n_ops(self) -> int:
         return len(self._records)
 
-    @property
-    def leaves(self) -> list[Tensor2]:
-        return list(self._leaves.values())
 
+def backward(graph: GradGraph, loss: Tensor2, wrt: Sequence[Tensor2]) -> list[np.ndarray]:
+    """Reverse sweep from a scalar loss; returns d loss / d t for each t in wrt.
 
-def backward(graph: GradGraph, loss: Tensor2) -> None:
-    """Reverse sweep from a scalar loss; populates .grad on every graph leaf.
-
-    Gradients accumulate additively across fan-out. Leaves with no path to
-    the loss receive an exact-zero gradient.
+    Gradients accumulate additively across fan-out, in reverse tape order. A
+    tensor with no path to the loss gets an exact-zero gradient. A tensor
+    listed twice gets the same array twice.
     """
     if loss.shape != (1, 1):
         raise DimensionError(f"backward root must be a 1x1 scalar, got {loss.shape}")
+    wanted = {id(t) for t in wrt}
     grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1), dtype=loss.dtype)}
     for out, inputs, vjp in reversed(graph._records):
-        # an op's output is never a leaf, so its gradient is dropped once used
+        # a gradient is dropped once its vjp has used it, unless asked for
         g = grads.pop(id(out), None)
         if g is None:
             continue
+        if id(out) in wanted:
+            # kept apart: a vjp may hand g on as an input's gradient, and
+            # that one accumulates in place below
+            grads[id(out)] = g.copy()
         # in-place accumulation below relies on vjps never returning one
         # array object for two input slots
         for t, ig in zip(inputs, vjp(g)):
@@ -205,9 +196,17 @@ def backward(graph: GradGraph, loss: Tensor2) -> None:
                 grads[id(t)] = ig
             else:
                 np.add(acc, ig, out=acc)
-    for t in graph._leaves.values():
-        g = grads.get(id(t))
-        t.grad = g if g is not None else np.zeros_like(t.data)
+    return [grads[id(t)] if id(t) in grads else np.zeros_like(t.data) for t in wrt]
+
+
+def _result(op: str, out_data: np.ndarray, graph: GradGraph | None, inputs, vjp) -> Tensor2:
+    """The ending every op returns through: reject a non-finite output, wrap
+    it, and record vjp on the graph when one is given."""
+    _check_finite(out_data, op)
+    out = Tensor2(out_data)
+    if graph is not None:
+        graph.record(out, inputs, vjp)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -224,17 +223,8 @@ def matmul(a: Tensor2, b: Tensor2, graph: GradGraph | None = None) -> Tensor2:
     """
     if a.cols != b.rows:
         raise DimensionError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
-    _check_finite(out_data, "matmul")
-    out = Tensor2(out_data)
-    if graph is not None:
-        ad, bd = a.data, b.data
-
-        def vjp(g):
-            return g @ bd.T, ad.T @ g
-
-        graph.record(out, (a, b), vjp)
-    return out
+    ad, bd = a.data, b.data
+    return _result("matmul", ad @ bd, graph, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
 @_quiet
@@ -242,12 +232,7 @@ def add(x: Tensor2, y: Tensor2, graph: GradGraph | None = None) -> Tensor2:
     """Elementwise sum of two same-shape tensors."""
     if x.shape != y.shape:
         raise DimensionError(f"add: shapes differ, {x.shape} vs {y.shape}")
-    out_data = x.data + y.data
-    _check_finite(out_data, "add")
-    out = Tensor2(out_data)
-    if graph is not None:
-        graph.record(out, (x, y), lambda g: (g, g.copy()))
-    return out
+    return _result("add", x.data + y.data, graph, (x, y), lambda g: (g, g.copy()))
 
 
 @_quiet
@@ -261,23 +246,16 @@ def add_row(x: Tensor2, row: Tensor2, graph: GradGraph | None = None) -> Tensor2
         )
     blocks = x.rows // k
     out_data = (x.data.reshape(blocks, k, d) + row.data).reshape(x.shape)
-    _check_finite(out_data, "add_row")
-    out = Tensor2(out_data)
-    if graph is not None:
-        # sums the blocks in order, so it equals np.add.at over tiled indices
-        graph.record(out, (x, row), lambda g: (g, g.reshape(blocks, k, d).sum(axis=0)))
-    return out
+    # sums the blocks in order, so it equals np.add.at over tiled indices
+    return _result(
+        "add_row", out_data, graph, (x, row), lambda g: (g, g.reshape(blocks, k, d).sum(axis=0))
+    )
 
 
 @_quiet
 def scale(x: Tensor2, c: float, graph: GradGraph | None = None) -> Tensor2:
     """Multiply by a constant scalar."""
-    out_data = x.data * c
-    _check_finite(out_data, "scale")
-    out = Tensor2(out_data)
-    if graph is not None:
-        graph.record(out, (x,), lambda g: (g * c,))
-    return out
+    return _result("scale", x.data * c, graph, (x,), lambda g: (g * c,))
 
 
 @_quiet
@@ -285,24 +263,16 @@ def hadamard(x: Tensor2, y: Tensor2, graph: GradGraph | None = None) -> Tensor2:
     """Elementwise product."""
     if x.shape != y.shape:
         raise DimensionError(f"hadamard: shapes differ, {x.shape} vs {y.shape}")
-    out_data = x.data * y.data
-    _check_finite(out_data, "hadamard")
-    out = Tensor2(out_data)
-    if graph is not None:
-        xd, yd = x.data, y.data
-        graph.record(out, (x, y), lambda g: (g * yd, g * xd))
-    return out
+    xd, yd = x.data, y.data
+    return _result("hadamard", xd * yd, graph, (x, y), lambda g: (g * yd, g * xd))
 
 
 @_quiet
 def sigmoid(x: Tensor2, graph: GradGraph | None = None) -> Tensor2:
     """Elementwise logistic 1/(1+e^-x); stable for |x| up to 1e4 and beyond."""
-    _check_finite(x.data, "sigmoid input")
+    _check_finite(x.data, "sigmoid input")  # expit maps +-inf to finite values
     out_data = expit(x.data)
-    out = Tensor2(out_data)
-    if graph is not None:
-        graph.record(out, (x,), lambda g: (g * out_data * (1.0 - out_data),))
-    return out
+    return _result("sigmoid", out_data, graph, (x,), lambda g: (g * out_data * (1.0 - out_data),))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -329,8 +299,6 @@ def gelu(x: Tensor2, graph: GradGraph | None = None) -> Tensor2:
     out_data = t + 1.0
     d = out_data * 0.5 if graph is not None else None
     out_data *= half_x
-    _check_finite(out_data, "gelu")
-    out = Tensor2(out_data)
     if graph is not None:
         # d = 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * (c * (1 + 3a * x * x))
         np.multiply(t, t, out=t)
@@ -342,20 +310,15 @@ def gelu(x: Tensor2, graph: GradGraph | None = None) -> Tensor2:
         du *= _GELU_C
         t *= du
         d += t
-        graph.record(out, (x,), lambda g: (g * d,))
-    return out
+    return _result("gelu", out_data, graph, (x,), lambda g: (g * d,))
 
 
 @_quiet
 def frobenius_sq(x: Tensor2, graph: GradGraph | None = None) -> Tensor2:
     """Sum of squared elements, as a 1x1 tensor; gradient is 2x."""
-    val = np.asarray((x.data * x.data).sum(), dtype=x.dtype).reshape(1, 1)
-    _check_finite(val, "frobenius_sq")
-    out = Tensor2(val)
-    if graph is not None:
-        xd = x.data
-        graph.record(out, (x,), lambda g: (2.0 * float(g[0, 0]) * xd,))
-    return out
+    xd = x.data
+    val = np.asarray((xd * xd).sum(), dtype=x.dtype).reshape(1, 1)
+    return _result("frobenius_sq", val, graph, (x,), lambda g: (2.0 * float(g[0, 0]) * xd,))
 
 
 @_quiet
@@ -378,26 +341,22 @@ def layer_norm(
     var = sq.mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    out_data = np.multiply(xhat, gain.data, out=sq)
+    gd = gain.data
+    out_data = np.multiply(xhat, gd, out=sq)
     out_data += bias.data
-    _check_finite(out_data, "layer_norm")
-    out = Tensor2(out_data)
-    if graph is not None:
-        gd = gain.data
 
-        def vjp(g):
-            tmp = g * xhat
-            dgain = tmp.sum(axis=0, keepdims=True)
-            dbias = g.sum(axis=0, keepdims=True)
-            dx = g * gd  # dxhat, turned into dx in place
-            m2 = np.multiply(dx, xhat, out=tmp).mean(axis=1, keepdims=True)
-            dx -= dx.mean(axis=1, keepdims=True)
-            dx -= np.multiply(xhat, m2, out=tmp)
-            dx *= inv
-            return dx, dgain, dbias
+    def vjp(g):
+        tmp = g * xhat
+        dgain = tmp.sum(axis=0, keepdims=True)
+        dbias = g.sum(axis=0, keepdims=True)
+        dx = g * gd  # dxhat, turned into dx in place
+        m2 = np.multiply(dx, xhat, out=tmp).mean(axis=1, keepdims=True)
+        dx -= dx.mean(axis=1, keepdims=True)
+        dx -= np.multiply(xhat, m2, out=tmp)
+        dx *= inv
+        return dx, dgain, dbias
 
-        graph.record(out, (x, gain, bias), vjp)
-    return out
+    return _result("layer_norm", out_data, graph, (x, gain, bias), vjp)
 
 
 @_quiet
@@ -408,16 +367,13 @@ def gather_rows(table: Tensor2, indices: np.ndarray, graph: GradGraph | None = N
         raise DimensionError("gather_rows: empty index list")
     if idx.min() < 0 or idx.max() >= table.rows:
         raise ValueError(f"gather_rows: index out of range [0, {table.rows})")
-    out = Tensor2(table.data[idx].copy())
-    if graph is not None:
 
-        def vjp(g):
-            dt = np.zeros_like(table.data)
-            np.add.at(dt, idx, g)
-            return (dt,)
+    def vjp(g):
+        dt = np.zeros_like(table.data)
+        np.add.at(dt, idx, g)
+        return (dt,)
 
-        graph.record(out, (table,), vjp)
-    return out
+    return _result("gather_rows", table.data[idx], graph, (table,), vjp)
 
 
 def _row_nll(x: np.ndarray, targets: np.ndarray):
@@ -456,19 +412,14 @@ def cross_entropy_logits(
     nll, e, z = _row_nll(logits.data, safe_tgt)
     count = int(msk.sum())
     val = np.asarray(nll[msk].sum() / count, dtype=logits.dtype).reshape(1, 1)
-    _check_finite(val, "cross_entropy_logits")
-    out = Tensor2(val)
-    if graph is not None:
-        p = e / z
 
-        def vjp(g):
-            dl = p.copy()
-            dl[np.arange(n), safe_tgt] -= 1.0
-            dl *= (msk / count).astype(logits.dtype)[:, None]
-            return (dl * float(g[0, 0]),)
+    def vjp(g):
+        dl = e / z
+        dl[np.arange(n), safe_tgt] -= 1.0
+        dl *= (msk / count).astype(logits.dtype)[:, None]
+        return (dl * float(g[0, 0]),)
 
-        graph.record(out, (logits,), vjp)
-    return out
+    return _result("cross_entropy_logits", val, graph, (logits,), vjp)
 
 
 @_quiet
@@ -520,32 +471,24 @@ def multihead_attention(
     if causal:
         p *= tril
     p /= p.sum(axis=3, keepdims=True)
-    out4 = p @ v4
-    out_data = out4.transpose(0, 2, 1, 3).reshape(total, d)
-    _check_finite(out_data, "multihead_attention")
-    out = Tensor2(np.ascontiguousarray(out_data))
-    if graph is not None:
 
-        def vjp(g):
-            g4 = g.reshape(n_seqs, n, n_heads, dh).transpose(0, 2, 1, 3)
-            ds = g4 @ v4.transpose(0, 1, 3, 2)  # dp, turned into ds in place
-            dv4 = p.transpose(0, 1, 3, 2) @ g4
-            ds -= (p * ds).sum(axis=3, keepdims=True)
-            ds *= p
-            dq4 = ds @ k4
-            dq4 *= inv
-            dk4 = ds.transpose(0, 1, 3, 2) @ q4
-            dk4 *= inv
+    def merge(t4):  # [S, h, n, dh] -> [(S*n) x d]
+        return np.ascontiguousarray(t4.transpose(0, 2, 1, 3).reshape(total, d))
 
-            def merge(t4):  # [S, h, n, dh] -> [(S*n) x d]
-                return np.ascontiguousarray(t4.transpose(0, 2, 1, 3).reshape(total, d))
+    def vjp(g):
+        g4 = g.reshape(n_seqs, n, n_heads, dh).transpose(0, 2, 1, 3)
+        ds = g4 @ v4.transpose(0, 1, 3, 2)  # dp, turned into ds in place
+        dv4 = p.transpose(0, 1, 3, 2) @ g4
+        ds -= (p * ds).sum(axis=3, keepdims=True)
+        ds *= p
+        dq4 = ds @ k4
+        dq4 *= inv
+        dk4 = ds.transpose(0, 1, 3, 2) @ q4
+        dk4 *= inv
+        return merge(dq4), merge(dk4), merge(dv4)
 
-            return merge(dq4), merge(dk4), merge(dv4)
-
-        graph.record(out, (q, k, v), vjp)
-    if want_probs:
-        return out, p
-    return out
+    out = _result("multihead_attention", merge(p @ v4), graph, (q, k, v), vjp)
+    return (out, p) if want_probs else out
 
 
 def grad_check(
@@ -561,11 +504,7 @@ def grad_check(
     """
     inputs = list(inputs)
     g = GradGraph()
-    for t in inputs:
-        g.watch(t)
-    loss = fn(inputs, g)
-    backward(g, loss)
-    analytic = [t.grad.copy() for t in inputs]
+    analytic = backward(g, fn(inputs, g), inputs)
 
     worst = 0.0
     for t, a in zip(inputs, analytic):

@@ -167,13 +167,12 @@ def train_epoch(
     params.config's gate mode. on_step(index, total, ce, reg) is called with
     each step's loss values."""
     frozen = params.config.gate_mode != GateMode.LEARNED
+    names, tensors = zip(*params.named_tensors())
     totals = np.zeros(3, dtype=np.float64)
     stats = EpochStats()
     for index, batch in enumerate(batch_stream):
         try:
             graph = GradGraph()
-            for _, t in params.named_tensors():
-                graph.watch(t)
             logits = forward_batch(params, batch.tokens, graph=graph)
             total, ce, reg = loss(
                 logits,
@@ -184,8 +183,7 @@ def train_epoch(
                 graph=graph,
                 synaptic_frozen=frozen,
             )
-            nc.backward(graph, total)
-            grads = {name: t.grad for name, t in params.named_tensors()}
+            grads = dict(zip(names, nc.backward(graph, total, tensors)))
             sgd_step(params, grads, lr, config.grad_clip)
         except NumericError as err:
             raise NumericError(f"batch {index}: {err}") from err

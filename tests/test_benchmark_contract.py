@@ -2,16 +2,19 @@
 
 perfbench/tracer.py wraps synres functions at the attribute each caller looks
 them up under, and perfbench/run.py times model.forward with a per-call gate
-mode. A moved or renamed name breaks the benchmark; this test shows it in
-the main suite, without running the benchmark's own self-test.
+mode. A moved or renamed name breaks the benchmark, and a vjp recorded
+outside its op's own call is charged to no op; these tests show both in the
+main suite, without running the benchmark's own self-test.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 from synres import cli, datagen, evalsuite, model, numcore, persist, train
 from synres.model import GateMode, ModelConfig, count_flops, init_params
 from synres.numcore import Rng
+from synres.train import TrainConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import tracer  # noqa: E402
@@ -50,3 +53,20 @@ def test_tracer_install_patches_and_uninstall_restores_every_name():
     assert spans.counters["forward_calls"] == 1
     assert spans.counters["flops"] == count_flops(CFG, 6, GateMode.DISABLED).total
 
+
+def test_traced_train_epoch_charges_every_vjp_to_its_op():
+    # the tracer charges a vjp to the op span open when GradGraph.record runs,
+    # so each op must record from inside its own call
+    params = init_params(CFG, Rng(2))
+    spec = datagen.TaskSpec(kind="copy", seq_len=6, samples=8, seed=3)
+    data, _ = datagen.build_task_data(spec, datagen.VocabLayout.synthetic(CFG.vocab_size))
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        train.train_epoch(params, train.batches(data, 4), TrainConfig(epochs=1, batch_size=4), 0.1)
+    finally:
+        spans.uninstall()
+    calls = Counter(spans.names[i] for i in spans.name_of)
+    assert "numcore.unknown.bwd" not in calls
+    for op in tracer.NUMCORE_OPS:
+        assert calls[f"numcore.{op}.bwd"] == calls[f"numcore.{op}.fwd"] > 0, op

@@ -154,7 +154,6 @@ def test_gate_disabled_no_graph_edges():
     a = nc.Tensor2(nc.Rng(8).normal(2, 4, 1.0))
     g = nc.GradGraph()
     w = nc.zeros(4, 4)
-    g.watch(w)
     r, o = resonance_gate(a, w, GateMode.DISABLED, graph=g)
     assert r is None and o is a and g.n_ops == 0
 
@@ -245,8 +244,6 @@ def test_with_gate_mode_swaps_only_the_config():
 
 
 def _model_loss(params, tokens, targets, mode, graph, lam=1e-3):
-    for _, t in params.named_tensors():
-        graph.watch(t)
     logits = forward_batch(params.with_gate_mode(mode), tokens, graph=graph)
     ce = nc.cross_entropy_logits(logits, targets, np.ones(len(targets), dtype=bool), graph)
     reg = None
@@ -263,14 +260,13 @@ def test_gate_gradient_flow_learned_vs_disabled():
 
     g = nc.GradGraph()
     loss = _model_loss(params, tokens, targets, GateMode.LEARNED, g, lam=0.0)
-    nc.backward(g, loss)
-    assert any(np.abs(layer.w_s.grad).max() > 0 for layer in params.layers)
+    grads = nc.backward(g, loss, params.synaptic())
+    assert any(np.abs(grad).max() > 0 for grad in grads)
 
     g2 = nc.GradGraph()
     loss2 = _model_loss(params, tokens, targets, GateMode.DISABLED, g2, lam=0.0)
-    nc.backward(g2, loss2)
-    for layer in params.layers:
-        np.testing.assert_array_equal(layer.w_s.grad, np.zeros((8, 8)))
+    for grad in nc.backward(g2, loss2, params.synaptic()):
+        np.testing.assert_array_equal(grad, np.zeros((8, 8)))
 
 
 def test_full_model_grad_check_float64():

@@ -93,8 +93,6 @@ def test_loss_frozen_reg_keeps_value_drops_gradient():
     train, _ = small_data()
     batch = train.rows(slice(0, 2))
     g = nc.GradGraph()
-    for _, t in params.named_tensors():
-        g.watch(t)
     logits = forward_batch(params.with_gate_mode(GateMode.DISABLED), batch.tokens, graph=g)
     total, ce, reg = loss(
         logits, batch.targets.reshape(-1), batch.loss_mask.reshape(-1),
@@ -102,9 +100,8 @@ def test_loss_frozen_reg_keeps_value_drops_gradient():
     )
     assert reg.item() > 0
     np.testing.assert_allclose(total.item(), ce.item() + reg.item(), rtol=1e-6)
-    nc.backward(g, total)
-    for layer in params.layers:
-        np.testing.assert_array_equal(layer.w_s.grad, np.zeros_like(layer.w_s.data))
+    for w_s, grad in zip(params.synaptic(), nc.backward(g, total, params.synaptic())):
+        np.testing.assert_array_equal(grad, np.zeros_like(w_s.data))
 
 
 # --------------------------------------------------------------------------
@@ -167,15 +164,13 @@ def test_pure_regularizer_contraction():
     norms = [np.sqrt(sum(float((w.data ** 2).sum()) for w in params.synaptic()))]
     for _ in range(3):
         g = nc.GradGraph()
-        for _, t in params.named_tensors():
-            g.watch(t)
         raw = None
         for w_s in params.synaptic():
             term = nc.frobenius_sq(w_s, g)
             raw = term if raw is None else nc.add(raw, term, g)
         objective = nc.scale(raw, lam, g)
-        nc.backward(g, objective)
-        sgd_step(params, {n: t.grad for n, t in params.named_tensors()}, lr)
+        names, tensors = zip(*params.named_tensors())
+        sgd_step(params, dict(zip(names, nc.backward(g, objective, tensors))), lr)
         norms.append(np.sqrt(sum(float((w.data ** 2).sum()) for w in params.synaptic())))
     for a, b in zip(norms, norms[1:]):
         np.testing.assert_allclose(b / a, factor, rtol=1e-12)
