@@ -248,18 +248,25 @@ def resonance_gate(
 
 def _forward_impl(params, tokens, mode, graph, want_trace):
     cfg = params.config
-    tokens = np.asarray(tokens, dtype=np.int64)
+    tokens = np.asarray(tokens)
     if tokens.ndim == 1:
         tokens = tokens[None, :]
-    n_seqs, n = tokens.shape
+    if tokens.ndim != 2 or tokens.shape[0] < 1:
+        raise ValueError(f"tokens must be a sequence or a [B x n] batch, got shape {tokens.shape}")
+    n = tokens.shape[1]
     if n < 1 or n > cfg.max_seq_len:
         raise ValueError(f"sequence length {n} outside [1, {cfg.max_seq_len}]")
+    if tokens.dtype.kind not in "iu":
+        raise ValueError(f"tokens must be integers, got dtype {tokens.dtype}")
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise ValueError(f"token index out of range [0, {cfg.vocab_size})")
-    if want_trace and n_seqs != 1:
-        raise ValueError("traces are collected for single sequences only")
     mode = GateMode(mode if mode is not None else cfg.gate_mode)
+    return nc.run_deferred(_forward_body, graph, params, tokens, mode, want_trace)
 
+
+def _forward_body(params, tokens, mode, want_trace, graph):
+    """The forward on validated [B x n] tokens; every op checks unless deferred."""
+    n_seqs, n = tokens.shape
     # the n position rows are gathered once and added to every sequence
     x = nc.add_row(
         nc.gather_rows(params.tok_emb, tokens.reshape(-1), graph),
@@ -269,7 +276,7 @@ def _forward_impl(params, tokens, mode, graph, want_trace):
     trace = ActivationTrace() if want_trace else None
     for layer in params.layers:
         h = nc.layer_norm(x, layer.ln1_gain, layer.ln1_bias, eps=LN_EPS, graph=graph)
-        a = _attention(h, layer, cfg.n_heads, n_seqs, graph)
+        a = _attention(h, layer, params.config.n_heads, n_seqs, graph)
         r, o = resonance_gate(a, layer.w_s, mode, graph)
         if trace is not None:
             trace.layers.append(LayerTrace(a=a, r=r, o=o))

@@ -4,12 +4,15 @@ Everything downstream (attention, gating, losses, training) is composed from
 the operations here. Ops are pure: each computes a fresh output and returns
 through _result, which raises NumericError naming the op on a non-finite
 output, wraps it in a Tensor2 and, given a GradGraph, records the op's vjp.
+Under run_deferred a whole forward enters errstate once and checks only its
+result, replaying bitwise with every op checked to name the op that failed.
 backward(graph, loss, wrt) returns the gradients of wrt; tensors hold none.
 float32 is the training precision; float64 is used for gradient verification.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 from typing import Callable, Sequence
@@ -90,12 +93,18 @@ def _check_finite(out: np.ndarray, op: str) -> None:
         raise NumericError(f"{op} produced a non-finite value")
 
 
+# True, in this thread's context only, while run_deferred runs its body
+_deferred = contextvars.ContextVar("deferred", default=False)
+
+
 def _quiet(fn):
-    """Overflow surfaces as NumericError via _check_finite, not as a numpy warning."""
+    """Overflow surfaces as NumericError, not as a numpy warning; run_deferred quiets once."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        if _deferred.get():
+            return fn(*args, **kwargs)
+        with np.errstate(all="ignore"):
             return fn(*args, **kwargs)
 
     return wrapper
@@ -199,14 +208,39 @@ def backward(graph: GradGraph, loss: Tensor2, wrt: Sequence[Tensor2]) -> list[np
     return [grads[id(t)] if id(t) in grads else np.zeros_like(t.data) for t in wrt]
 
 
-def _result(op: str, out_data: np.ndarray, graph: GradGraph | None, inputs, vjp) -> Tensor2:
-    """The ending every op returns through: reject a non-finite output, wrap
-    it, and record vjp on the graph when one is given."""
-    _check_finite(out_data, op)
-    out = Tensor2(out_data)
+def _result(op: str | None, out_data: np.ndarray, graph: GradGraph | None, inputs, vjp) -> Tensor2:
+    """The ending every op returns through: reject a non-finite output (unless
+    deferred, or op is None), wrap the fresh 2-D C-contiguous float array with
+    no second validation, and record vjp on the graph when one is given."""
+    if op is not None and not _deferred.get():
+        _check_finite(out_data, op)
+    out = Tensor2.__new__(Tensor2)
+    out.data = out_data
     if graph is not None:
         graph.record(out, inputs, vjp)
     return out
+
+
+def run_deferred(body, graph: GradGraph | None, *args):
+    """body(*args, graph) under one errstate, its ops unchecked but for two
+    checks that cannot wait (sigmoid's input, as expit maps +-inf to finite
+    values; attention's keys, as the softmax drops a -inf score). If one fails
+    or result[0] is non-finite, body's records are dropped and it runs again,
+    bitwise the same, with every op checked, raising as an undeferred call."""
+    mark = graph.n_ops if graph is not None else 0
+    token = _deferred.set(True)
+    try:
+        with np.errstate(all="ignore"):
+            result = body(*args, graph)
+        if np.isfinite(result[0].data).all():
+            return result
+    except NumericError:
+        pass
+    finally:
+        _deferred.reset(token)
+    if graph is not None:
+        del graph._records[mark:]
+    return body(*args, graph)
 
 
 # --------------------------------------------------------------------------
@@ -272,7 +306,7 @@ def sigmoid(x: Tensor2, graph: GradGraph | None = None) -> Tensor2:
     """Elementwise logistic 1/(1+e^-x); stable for |x| up to 1e4 and beyond."""
     _check_finite(x.data, "sigmoid input")  # expit maps +-inf to finite values
     out_data = expit(x.data)
-    return _result("sigmoid", out_data, graph, (x,), lambda g: (g * out_data * (1.0 - out_data),))
+    return _result(None, out_data, graph, (x,), lambda g: (g * out_data * (1.0 - out_data),))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -376,6 +410,15 @@ def gather_rows(table: Tensor2, indices: np.ndarray, graph: GradGraph | None = N
     return _result("gather_rows", table.data[idx], graph, (table,), vjp)
 
 
+@functools.lru_cache(maxsize=64)
+def _causal_mask(n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only n x n lower-triangular ones and additive mask (1 - tril) * MASK_NEG."""
+    tril = np.tril(np.ones((n, n), dtype=dtype))
+    neg = (1.0 - tril) * MASK_NEG
+    tril.flags.writeable = neg.flags.writeable = False
+    return tril, neg
+
+
 def _row_nll(x: np.ndarray, targets: np.ndarray):
     """Per-row -log softmax(x)[target] via log-sum-exp in x's dtype, plus the
     shifted exponentials and their row sums (the cross-entropy vjp needs them)."""
@@ -452,6 +495,8 @@ def multihead_attention(
         raise DimensionError(f"multihead_attention: d={d} not divisible by {n_heads} heads")
     if total % n_seqs != 0:
         raise DimensionError(f"multihead_attention: {total} rows not divisible by {n_seqs} seqs")
+    if _deferred.get():  # the softmax drops a -inf score, so a bad key cannot wait
+        _check_finite(k.data, "multihead_attention key")
     n = total // n_seqs
     dh = d // n_heads
     inv = 1.0 / math.sqrt(dh)
@@ -464,8 +509,8 @@ def multihead_attention(
     p = q4 @ k4.transpose(0, 1, 3, 2)
     p *= inv
     if causal:
-        tril = np.tril(np.ones((n, n), dtype=q.dtype.type))
-        p += (1.0 - tril) * MASK_NEG
+        tril, neg = _causal_mask(n, q.dtype)
+        p += neg
     p -= p.max(axis=3, keepdims=True)
     np.exp(p, out=p)
     if causal:

@@ -70,3 +70,23 @@ def test_traced_train_epoch_charges_every_vjp_to_its_op():
     assert "numcore.unknown.bwd" not in calls
     for op in tracer.NUMCORE_OPS:
         assert calls[f"numcore.{op}.bwd"] == calls[f"numcore.{op}.fwd"] > 0, op
+
+
+def test_traced_forward_runs_each_op_once():
+    # a finite forward checks only its logits and never replays, so the
+    # tracer sees each op exactly as often as a graph records it
+    params = init_params(CFG, Rng(4))
+    tokens = Rng(5).integers(0, CFG.vocab_size, size=7)
+    graph = numcore.GradGraph()
+    model.forward(params, tokens, graph=graph)
+    recorded = Counter(vjp.__qualname__.split(".")[0] for _, _, vjp in graph._records)
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        model.forward(params, tokens)
+    finally:
+        spans.uninstall()
+    calls = Counter(spans.names[i] for i in spans.name_of)
+    assert set(recorded) <= set(tracer.NUMCORE_OPS) and graph.n_ops > 0
+    for op in tracer.NUMCORE_OPS:
+        assert calls[f"numcore.{op}.fwd"] == recorded[op], op

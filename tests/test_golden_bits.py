@@ -1,0 +1,159 @@
+"""Same seeds, same bits: sha256 digests pinned in tests/golden_bits.json.
+
+Initial parameters and a gen-data artifact depend only on numpy's Philox
+streams, so their digests are always asserted. Logits, checkpoints and
+metrics also depend on the BLAS kernels and numpy's SIMD loops, so they are
+pinned per fingerprint (numpy, BLAS, CPU features, dtype). On a fingerprint
+with no pinned digests the test computes everything twice, in two fresh
+processes, asserts the two agree and warns that the golden comparison did
+not apply.
+
+A change that moves bits on purpose re-records the digests of this machine:
+
+    PYTHONPATH=src python tests/test_golden_bits.py --record
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+from synres.cli import main
+from synres.model import GateMode, ModelConfig, forward, init_params
+from synres.numcore import Rng
+
+GOLDEN = Path(__file__).with_name("golden_bits.json")
+ALWAYS = ("init_params", "gen_data_kv_recall")
+
+README_MODEL = ModelConfig(
+    vocab_size=64, d_model=64, n_heads=4, n_layers=2, d_ff=256, max_seq_len=40
+)
+
+# the README config, cut to 2 epochs of 512 samples (15 train steps each)
+SHORT_README_RUN = """\
+[model]
+vocab_size = 64
+d_model = 64
+n_heads = 4
+n_layers = 2
+d_ff = 256
+max_seq_len = 40
+sigma_init = 0.02
+gate_mode = learned
+
+[train]
+epochs = 2
+batch_size = 32
+lr = 1.0
+lr_decay = 0.5
+ppl_threshold = none
+reg_weight = 0.0001
+grad_clip = 1.0
+seed = 4
+min_lr = 1e-06
+
+[task]
+kind = copy
+seq_len = 34
+samples = 512
+seed = 1
+val_fraction = 0.1
+"""
+
+
+def fingerprint() -> str:
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:
+        features = {}
+    cpu = hashlib.sha256(",".join(sorted(k for k, on in features.items() if on)).encode())
+    return (f"numpy {np.__version__}; {blas.get('name')} {blas.get('version')}; "
+            f"{platform.machine()} cpu {cpu.hexdigest()[:12]}; float32")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _metrics_body(path: Path) -> bytes:
+    """metrics.csv without its last column, wall_ms."""
+    return "\n".join(line.rsplit(",", 1)[0] for line in path.read_text().splitlines()).encode()
+
+
+def digests(work: Path) -> dict[str, str]:
+    work.mkdir(parents=True, exist_ok=True)
+    params = init_params(README_MODEL, Rng(4))
+    got = {"init_params": _sha(b"".join(t.data.tobytes() for _, t in params.named_tensors()))}
+
+    art = work / "kv.ds"
+    assert main(["gen-data", "--task", "kv_recall", "--distances", "16,32,38", "--vocab-size", "64",
+                 "--samples", "500", "--out", str(art)]) == 0
+    got["gen_data_kv_recall"] = _sha(art.read_bytes() + (work / "kv.ds.json").read_bytes())
+
+    # the latency benchmark's request pool: three sequences of each length
+    rng = np.random.default_rng(1)
+    pool = [rng.integers(0, 64, size=int(n)) for n in np.repeat(np.arange(2, 41), 3)]
+    logits = hashlib.sha256()
+    for mode in GateMode:
+        for tokens in pool:
+            logits.update(forward(params, tokens, mode=mode)[0].data.tobytes())
+    got["latency_pool_logits"] = logits.hexdigest()
+
+    config = work / "run.cfg"
+    config.write_text(SHORT_README_RUN)
+    for mode in ("learned", "disabled"):
+        out = work / mode
+        assert main(["train", str(config), "--out", str(out), "--gate-mode", mode]) == 0
+        for name in ("last.ckpt", "best.ckpt"):
+            got[f"{mode}.{name}"] = _sha((out / name).read_bytes())
+        got[f"{mode}.metrics_body"] = _sha(_metrics_body(out / "metrics.csv"))
+    return got
+
+
+def _digests_in_fresh_process(work: Path) -> dict[str, str]:
+    paths = (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    run = subprocess.run(
+        [sys.executable, __file__, "--print", str(work)],
+        capture_output=True, text=True, check=True, timeout=300, env=env,
+    )
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_golden_bits(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    pinned = golden["by_fingerprint"].get(fingerprint())
+    if pinned is None:
+        got = _digests_in_fresh_process(tmp_path / "a")
+        assert _digests_in_fresh_process(tmp_path / "b") == got
+        warnings.warn(f"golden bits: no digests pinned for {fingerprint()!r}; "
+                      "the golden comparison did not apply, two fresh runs agreed instead")
+    else:
+        got = digests(tmp_path)
+        assert {key: got[key] for key in pinned} == pinned
+    assert {key: got[key] for key in ALWAYS} == golden["always"]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:2] == ["--print"]:
+        print(json.dumps(digests(Path(sys.argv[2]))))
+    elif sys.argv[1:] == ["--record"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            got = digests(Path(tmp))
+        golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"by_fingerprint": {}}
+        golden["always"] = {key: got[key] for key in ALWAYS}
+        golden["by_fingerprint"][fingerprint()] = {k: v for k, v in got.items() if k not in ALWAYS}
+        GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    else:
+        sys.exit("usage: test_golden_bits.py --record | --print DIR")

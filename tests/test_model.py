@@ -1,5 +1,7 @@
 """Model composition: init census, gate semantics, causality, gradient flow."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from synres import numcore as nc
 from synres.model import (
     GateMode,
     ModelConfig,
+    _forward_body,
     count_flops,
     forward,
     forward_batch,
@@ -180,6 +183,30 @@ def test_forward_bad_tokens():
         forward(params, list(range(9)))  # beyond max_seq_len
 
 
+def test_forward_rejects_float_tokens():
+    params = tiny_params()
+    for bad in ([[1.7, 2.2]], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="dtype float64"):
+            forward_batch(params, bad)
+    with pytest.raises(ValueError, match="dtype float64"):
+        forward(params, [1.0, 2.0])
+
+
+def test_forward_rejects_bool_tokens():
+    with pytest.raises(ValueError, match="dtype bool"):
+        forward_batch(tiny_params(), np.array([[True, False]]))
+
+
+def test_forward_rejects_an_empty_batch():
+    with pytest.raises(ValueError, match=r"shape \(0, 5\)"):
+        forward_batch(tiny_params(), np.zeros((0, 5), dtype=np.int64))
+
+
+def test_forward_rejects_a_three_dimensional_batch():
+    with pytest.raises(ValueError, match=r"shape \(2, 2, 3\)"):
+        forward_batch(tiny_params(), np.ones((2, 2, 3), dtype=np.int64))
+
+
 def test_forward_forced_ones_equals_disabled_bitwise():
     params = tiny_params(seed=11)
     a, _ = forward(params, [3, 1, 4, 1, 5], mode=GateMode.FORCED_ONES)
@@ -236,6 +263,92 @@ def test_with_gate_mode_swaps_only_the_config():
     toks = np.array([[3, 1, 4, 1, 5], [9, 2, 6, 5, 3]])
     want = np.concatenate([forward(params, t, mode=GateMode.DISABLED)[0].data for t in toks])
     np.testing.assert_array_equal(forward_batch(off, toks).data, want)
+
+
+# --------------------------------------------------------------------------
+# deferred finiteness check
+# --------------------------------------------------------------------------
+
+FAULT_TOKENS = np.array([[3, 1, 4, 1, 5, 9, 2, 6]])
+
+
+def _outcome(run):
+    try:
+        return run().data.tobytes()
+    except nc.NumericError as err:
+        return str(err)
+
+
+def deferred_against_checked(params):
+    """forward_batch, which checks only its logits and replays on a fault,
+    against the forward body run with every op checked: the same NumericError
+    message or the same logits bits, and the same records on a graph.
+    Returns the checked outcome."""
+    mode = params.config.gate_mode
+    checked = _outcome(lambda: _forward_body(params, FAULT_TOKENS, mode, False, None)[0])
+    assert _outcome(lambda: forward_batch(params, FAULT_TOKENS)) == checked
+    g_deferred, g_checked = nc.GradGraph(), nc.GradGraph()
+    assert _outcome(lambda: forward_batch(params, FAULT_TOKENS, graph=g_deferred)) == checked
+    _outcome(lambda: _forward_body(params, FAULT_TOKENS, mode, False, g_checked)[0])
+    assert g_deferred.n_ops == g_checked.n_ops
+    return checked
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", [GateMode.LEARNED, GateMode.DISABLED])
+def test_deferred_forward_faults_like_the_checked_body(mode, dtype):
+    names = [name for name, _ in tiny_params().named_tensors()]
+    raised = Counter()
+    for name in names:
+        for poison in ("nan", "inf", "-inf", "fill"):
+            params = tiny_params(seed=30, dtype=dtype, gate_mode=mode)
+            flat = dict(params.named_tensors())[name].data.reshape(-1)
+            if poison == "fill":
+                flat[:] = 3e38
+            else:
+                flat[flat.size // 2] = float(poison)
+            outcome = deferred_against_checked(params)
+            raised[outcome.split(" ")[0] if isinstance(outcome, str) else "finite"] += 1
+    # most faults raise, from several ops; fills that stay finite do not
+    assert raised["finite"] > 0 and len(raised) >= 4, raised
+
+
+def test_a_bad_gate_input_replays_instead_of_raising(monkeypatch):
+    # an inf in w_o makes the gate input a @ w_s non-finite; sigmoid's input
+    # check fails in the deferred pass, and the replay names the matmul that
+    # made a, as a checked run does
+    bad_gate_inputs = []
+    real = nc.sigmoid
+
+    def sigmoid(x, graph=None):
+        bad_gate_inputs.append(not np.isfinite(x.data).all())
+        return real(x, graph)
+
+    monkeypatch.setattr(nc, "sigmoid", sigmoid)
+    params = tiny_params(seed=30)
+    params.layers[0].w_o.data[2, 3] = np.inf
+    assert deferred_against_checked(params) == "matmul produced a non-finite value"
+    assert bad_gate_inputs == [True, True]  # one deferred pass per forward_batch call
+
+    params = tiny_params(seed=30)
+    params.tok_emb.data[:] = 3e38
+    assert deferred_against_checked(params) == "layer_norm produced a non-finite value"
+
+
+def test_a_key_the_softmax_drops_still_raises():
+    # layer 0's key column 0 overflows to -inf at the last position only;
+    # with positive queries that score is -inf in every row, which the
+    # softmax turns into an exact-zero weight, so the logits alone stay finite
+    params = tiny_params(seed=0)
+    for table in (params.tok_emb, params.pos_emb):
+        table.data[:, 0] = 0.0
+        table.data[:, 1:] -= table.data[:, 1:].mean(axis=1, keepdims=True)
+    params.pos_emb.data[7, 0] = 10.0
+    layer = params.layers[0]
+    layer.ln1_bias.data[0, 7] = 100.0
+    layer.w_q.data[7, 0] = 1.0
+    layer.w_k.data[0, 0] = -1.7e38
+    assert deferred_against_checked(params) == "matmul produced a non-finite value"
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tensor op semantics, autodiff correctness, and determinism contracts."""
 
 import math
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synres import numcore as nc
+from synres.model import GateMode, ModelConfig, forward, forward_batch, init_params
+from synres.train import loss
 
 
 def rnd(rows, cols, seed=0, dtype=np.float64, scale=1.0):
@@ -648,3 +652,86 @@ def test_ops_deterministic_replay():
     first = nc.matmul(nc.multihead_attention(x, x, x, n_heads=4), nc.gelu(y)).data
     second = nc.matmul(nc.multihead_attention(x, x, x, n_heads=4), nc.gelu(y)).data
     np.testing.assert_array_equal(first, second)
+
+
+# --------------------------------------------------------------------------
+# deferred checks: a forward leaves direct ops checked and quiet
+# --------------------------------------------------------------------------
+
+TINY = ModelConfig(vocab_size=11, d_model=8, n_heads=2, n_layers=2, d_ff=16, max_seq_len=8)
+
+
+def assert_direct_op_checked_and_quiet():
+    big = nc.Tensor2(np.full((2, 2), 1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(nc.NumericError, match="^matmul"):
+            nc.matmul(big, big)
+
+
+def test_direct_ops_stay_checked_after_a_forward_that_raised():
+    params = init_params(TINY, nc.Rng(0))
+    poisoned = params.copy()
+    poisoned.unembed.data[0, 0] = np.nan
+    with pytest.raises(nc.NumericError):
+        forward(poisoned, [1, 2, 3])
+    assert_direct_op_checked_and_quiet()
+    with pytest.raises(ValueError):
+        forward(params, [1, 99])
+    assert_direct_op_checked_and_quiet()
+
+
+def test_a_forward_on_another_thread_leaves_direct_ops_checked(monkeypatch):
+    params = init_params(TINY, nc.Rng(0))
+    entered, release, results = threading.Event(), threading.Event(), []
+    real_gelu = nc.gelu
+
+    def blocking_gelu(*args, **kwargs):
+        entered.set()
+        release.wait(timeout=10)
+        return real_gelu(*args, **kwargs)
+
+    monkeypatch.setattr(nc, "gelu", blocking_gelu)
+    worker = threading.Thread(target=lambda: results.append(forward(params, [1, 2, 3])[0]))
+    worker.start()
+    try:
+        assert entered.wait(timeout=10)
+        assert_direct_op_checked_and_quiet()
+    finally:
+        release.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert results and np.isfinite(results[0].data).all()
+
+
+def test_causal_masks_are_cached_read_only():
+    x = rnd(5, 4, seed=40, dtype=np.float32)
+    nc.multihead_attention(x, x, x, n_heads=2)
+    tril, neg = nc._causal_mask(5, x.dtype)
+    assert nc._causal_mask(5, np.dtype(np.float32))[0] is tril
+    assert not tril.flags.writeable and not neg.flags.writeable
+    with pytest.raises(ValueError):
+        neg[0, 1] = 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", list(GateMode))
+def test_every_wrapped_op_output_is_a_valid_tensor2_array(monkeypatch, mode, dtype):
+    # _result wraps op outputs without Tensor2's validation
+    wrapped = []
+    real = nc._result
+
+    def checking_result(op, out_data, graph, inputs, vjp):
+        assert out_data.ndim == 2 and min(out_data.shape) >= 1, (op, out_data.shape)
+        assert out_data.flags.c_contiguous, op
+        assert out_data.dtype == dtype, (op, out_data.dtype)  # float32 or float64
+        wrapped.append(op)
+        return real(op, out_data, graph, inputs, vjp)
+
+    monkeypatch.setattr(nc, "_result", checking_result)
+    params = init_params(TINY, nc.Rng(1), dtype=dtype).with_gate_mode(mode)
+    tokens = np.array([[1, 2, 3, 4], [5, 6, 7, 8]])
+    graph = nc.GradGraph()
+    logits = forward_batch(params, tokens, graph=graph)
+    loss(logits, tokens.reshape(-1), np.ones(8, dtype=bool), params.synaptic(), 1e-3, graph)
+    assert len(wrapped) == graph.n_ops
