@@ -18,7 +18,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 MASK_NEG = -1e9  # additive score mask; exp(MASK_NEG - rowmax) underflows to exactly 0.0
 
@@ -223,8 +222,8 @@ def _result(op: str | None, out_data: np.ndarray, graph: GradGraph | None, input
 
 def run_deferred(body, graph: GradGraph | None, *args):
     """body(*args, graph) under one errstate, its ops unchecked but for two
-    checks that cannot wait (sigmoid's input, as expit maps +-inf to finite
-    values; attention's keys, as the softmax drops a -inf score). If one fails
+    checks that cannot wait (sigmoid's input, as 1/(1+e^-x) maps +-inf to 1
+    and 0; attention's keys, as the softmax drops a -inf score). If one fails
     or result[0] is non-finite, body's records are dropped and it runs again,
     bitwise the same, with every op checked, raising as an undeferred call."""
     mark = graph.n_ops if graph is not None else 0
@@ -303,9 +302,13 @@ def hadamard(x: Tensor2, y: Tensor2, graph: GradGraph | None = None) -> Tensor2:
 
 @_quiet
 def sigmoid(x: Tensor2, graph: GradGraph | None = None) -> Tensor2:
-    """Elementwise logistic 1/(1+e^-x); stable for |x| up to 1e4 and beyond."""
-    _check_finite(x.data, "sigmoid input")  # expit maps +-inf to finite values
-    out_data = expit(x.data)
+    """Elementwise logistic 1/(1+e^-x) in x's dtype, in place on one buffer;
+    e^-x overflows to inf for x far below 0, so the result saturates to 0."""
+    _check_finite(x.data, "sigmoid input")  # the formula maps +-inf to 1 and 0
+    out_data = np.negative(x.data)
+    np.exp(out_data, out=out_data)
+    out_data += 1.0
+    np.divide(1.0, out_data, out=out_data)
     return _result(None, out_data, graph, (x,), lambda g: (g * out_data * (1.0 - out_data),))
 
 
@@ -355,6 +358,13 @@ def frobenius_sq(x: Tensor2, graph: GradGraph | None = None) -> Tensor2:
     return _result("frobenius_sq", val, graph, (x,), lambda g: (2.0 * float(g[0, 0]) * xd,))
 
 
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=1, keepdims=True), bitwise: the same sum and float64 divide
+    by an intp count, without ndarray.mean's Python wrapper."""
+    s = np.add.reduce(a, axis=1, keepdims=True)
+    return np.true_divide(s, np.intp(a.shape[1]), out=s, casting="unsafe")
+
+
 @_quiet
 def layer_norm(
     x: Tensor2,
@@ -369,10 +379,10 @@ def layer_norm(
         raise DimensionError(
             f"layer_norm: gain/bias must be [1x{d}], got {gain.shape}, {bias.shape}"
         )
-    mean = x.data.mean(axis=1, keepdims=True)
+    mean = _row_mean(x.data)
     xhat = x.data - mean
     sq = xhat * xhat
-    var = sq.mean(axis=1, keepdims=True)
+    var = _row_mean(sq)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     gd = gain.data
@@ -384,8 +394,8 @@ def layer_norm(
         dgain = tmp.sum(axis=0, keepdims=True)
         dbias = g.sum(axis=0, keepdims=True)
         dx = g * gd  # dxhat, turned into dx in place
-        m2 = np.multiply(dx, xhat, out=tmp).mean(axis=1, keepdims=True)
-        dx -= dx.mean(axis=1, keepdims=True)
+        m2 = _row_mean(np.multiply(dx, xhat, out=tmp))
+        dx -= _row_mean(dx)
         dx -= np.multiply(xhat, m2, out=tmp)
         dx *= inv
         return dx, dgain, dbias

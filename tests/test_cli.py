@@ -325,3 +325,14 @@ def test_heap_retained_by_the_command_line_only():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.stdout.split() == ["0", "2", "1", "True"], proc.stderr
+
+
+def test_import_loads_no_scipy():
+    # importing scipy cost every process about 0.2 s and 17 MB; synres needs numpy only
+    code = (
+        "import sys\n"
+        "import synres, synres.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout.split() == ["[]"], proc.stdout + proc.stderr

@@ -1,14 +1,16 @@
 """Same seeds, same bits: sha256 digests pinned in tests/golden_bits.json.
 
 Initial parameters and a gen-data artifact depend only on numpy's Philox
-streams, so their digests are always asserted. Logits, checkpoints and
-metrics also depend on the BLAS kernels and numpy's SIMD loops, so they are
-pinned per fingerprint (numpy, BLAS, CPU features, dtype). On a fingerprint
-with no pinned digests the test computes everything twice, in two fresh
-processes, asserts the two agree and warns that the golden comparison did
-not apply.
+streams, and a run's config.txt only on its config, so their digests are
+always asserted. Logits, checkpoints and metrics also depend on the BLAS
+kernels and numpy's SIMD loops, so they are pinned per fingerprint (numpy,
+BLAS, CPU features, dtype); each gate mode's logits have their own digest,
+so a diff of the json shows which modes moved. On a fingerprint with no
+pinned digests the test computes everything twice, in two fresh processes,
+asserts the two agree and warns that the golden comparison did not apply.
 
-A change that moves bits on purpose re-records the digests of this machine:
+A change that moves bits on purpose re-records the digests of this machine,
+printing each key whose digest changed:
 
     PYTHONPATH=src python tests/test_golden_bits.py --record
 """
@@ -31,7 +33,7 @@ from synres.model import GateMode, ModelConfig, forward, init_params
 from synres.numcore import Rng
 
 GOLDEN = Path(__file__).with_name("golden_bits.json")
-ALWAYS = ("init_params", "gen_data_kv_recall")
+ALWAYS = ("init_params", "gen_data_kv_recall", "learned.config.txt", "disabled.config.txt")
 
 README_MODEL = ModelConfig(
     vocab_size=64, d_model=64, n_heads=4, n_layers=2, d_ff=256, max_seq_len=40
@@ -102,18 +104,18 @@ def digests(work: Path) -> dict[str, str]:
     # the latency benchmark's request pool: three sequences of each length
     rng = np.random.default_rng(1)
     pool = [rng.integers(0, 64, size=int(n)) for n in np.repeat(np.arange(2, 41), 3)]
-    logits = hashlib.sha256()
     for mode in GateMode:
+        logits = hashlib.sha256()
         for tokens in pool:
             logits.update(forward(params, tokens, mode=mode)[0].data.tobytes())
-    got["latency_pool_logits"] = logits.hexdigest()
+        got[f"{mode.value}.latency_pool_logits"] = logits.hexdigest()
 
     config = work / "run.cfg"
     config.write_text(SHORT_README_RUN)
     for mode in ("learned", "disabled"):
         out = work / mode
         assert main(["train", str(config), "--out", str(out), "--gate-mode", mode]) == 0
-        for name in ("last.ckpt", "best.ckpt"):
+        for name in ("config.txt", "last.ckpt", "best.ckpt"):
             got[f"{mode}.{name}"] = _sha((out / name).read_bytes())
         got[f"{mode}.metrics_body"] = _sha(_metrics_body(out / "metrics.csv"))
     return got
@@ -152,8 +154,13 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             got = digests(Path(tmp))
         golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"by_fingerprint": {}}
+        old = {**golden.get("always", {}), **golden["by_fingerprint"].get(fingerprint(), {})}
         golden["always"] = {key: got[key] for key in ALWAYS}
         golden["by_fingerprint"][fingerprint()] = {k: v for k, v in got.items() if k not in ALWAYS}
         GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+        for key in sorted(old.keys() | got.keys()):
+            if old.get(key) != got.get(key):
+                verb = "added" if key not in old else "removed" if key not in got else "changed"
+                print(f"{verb}: {key}")
     else:
         sys.exit("usage: test_golden_bits.py --record | --print DIR")

@@ -177,8 +177,9 @@ def test_forward_shapes_and_finite():
 
 def test_forward_bad_tokens():
     params = tiny_params()
-    with pytest.raises(ValueError):
-        forward(params, [0, 11])
+    for bad in ([0, 11], [0, -1]):
+        with pytest.raises(ValueError, match="out of range"):
+            forward(params, bad)
     with pytest.raises(ValueError):
         forward(params, list(range(9)))  # beyond max_seq_len
 

@@ -142,6 +142,26 @@ def test_sigmoid_oracles():
     out = nc.sigmoid(nc.tensor([[1e4]]))
     assert abs(out.item() - 1.0) < 1e-6 and np.isfinite(out.data).all()
     np.testing.assert_allclose(nc.sigmoid(nc.tensor([[2.0]], dtype=np.float64)).item(), 0.880797, atol=1e-6)
+    # within 4 ulp of 1/(1+e^-x) in wider precision, on a grid through the
+    # points where e^-x overflows (float32 near -88.7, float64 near -709.8)
+    edges = np.array([88.0, 89.0, 103.0, 104.0, 709.0, 745.0, 1e4])
+    grid = np.concatenate(
+        [np.linspace(-120.0, 120.0, 4801), np.linspace(-800.0, 800.0, 3201), edges, -edges]
+    )
+    for dtype, wide in ((np.float32, np.float64), (np.float64, np.longdouble)):
+        x = grid.astype(dtype)
+        out = nc.sigmoid(nc.Tensor2(x[None, :])).data[0]
+        assert out.dtype == dtype and ((out >= 0.0) & (out <= 1.0)).all()
+        assert nc.sigmoid(nc.zeros(1, 1, dtype=dtype)).item() == 0.5
+        with np.errstate(over="ignore"):
+            want = 1.0 / (1.0 + np.exp(-x.astype(wide)))
+        err = np.abs(out.astype(wide) - want)
+        # below the smallest normal, e^-x has overflowed or soon will: the
+        # output flushes toward 0 instead, as scipy's expit does
+        tiny = np.finfo(dtype).tiny
+        normal = want >= tiny
+        assert (err[normal] <= 4 * np.spacing(want[normal].astype(dtype))).all()
+        assert (err[~normal] < tiny).all()
 
 
 @settings(max_examples=50, deadline=None)
@@ -548,15 +568,17 @@ def test_gelu_bitwise_against_formula(dtype):
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_layer_norm_bitwise_against_formula(dtype):
-    x = rnd(136, 67, seed=42, dtype=dtype, scale=2.0)
-    gain, bias = rnd(1, 67, seed=43, dtype=dtype), rnd(1, 67, seed=44, dtype=dtype)
-    g = rnd(136, 67, seed=45, dtype=dtype).data
-    out, vjp = _vjp_of_last_op(lambda graph: nc.layer_norm(x, gain, bias, eps=1e-5, graph=graph))
-    ref_out, ref_grads = ref_layer_norm(x.data, gain.data, bias.data, 1e-5, g)
-    assert_bitwise(out.data, ref_out)
-    assert_bitwise(nc.layer_norm(x, gain, bias, eps=1e-5).data, ref_out)
-    for got, want in zip(vjp(g), ref_grads):
-        assert_bitwise(got, want)
+    # a training shape, then request shapes: one row, and one 40-token sequence
+    for rows, cols in ((136, 67), (1, 64), (40, 64)):
+        x = rnd(rows, cols, seed=42, dtype=dtype, scale=2.0)
+        gain, bias = rnd(1, cols, seed=43, dtype=dtype), rnd(1, cols, seed=44, dtype=dtype)
+        g = rnd(rows, cols, seed=45, dtype=dtype).data
+        out, vjp = _vjp_of_last_op(lambda graph: nc.layer_norm(x, gain, bias, eps=1e-5, graph=graph))
+        ref_out, ref_grads = ref_layer_norm(x.data, gain.data, bias.data, 1e-5, g)
+        assert_bitwise(out.data, ref_out)
+        assert_bitwise(nc.layer_norm(x, gain, bias, eps=1e-5).data, ref_out)
+        for got, want in zip(vjp(g), ref_grads):
+            assert_bitwise(got, want)
 
 
 @pytest.mark.parametrize("causal", [True, False])
