@@ -24,6 +24,10 @@ from .numcore import GradGraph, Rng, Tensor2
 
 INIT_STD = 0.02  # init std for all non-gate weight matrices
 LN_EPS = 1e-5
+# bytes of a block's widest activation, [rows x max(d_ff, vocab, heads*n)],
+# when a no-graph forward runs a batch in blocks of whole sequences; chosen
+# by a sweep on the eval benchmark's 64 x 40 chunks
+BLOCK_BUDGET = 512 * 1024
 
 
 class GateMode(str, Enum):
@@ -259,7 +263,29 @@ def _forward_impl(params, tokens, mode, graph, want_trace):
     if tokens.dtype.kind not in "iu":
         raise ValueError(f"tokens must be integers, got dtype {tokens.dtype}")
     mode = GateMode(mode if mode is not None else cfg.gate_mode)
-    return nc.run_deferred(_forward_body, graph, params, tokens, mode, want_trace)
+    bounds = [0, tokens.shape[0]]
+    if tokens.shape[0] > 1 and graph is None and not want_trace:
+        bounds = _block_bounds(cfg, tokens.shape[0], n, params.dtype.itemsize)
+    if len(bounds) == 2:
+        return nc.run_deferred(_forward_body, graph, params, tokens, mode, want_trace)
+    # every op is local to a row or a sequence, so each block's logits are
+    # bitwise those rows of the one-block forward
+    logits = np.empty((tokens.size, cfg.vocab_size), dtype=params.dtype)
+    for lo, hi in zip(bounds, bounds[1:]):
+        block, _ = nc.run_deferred(_forward_body, None, params, tokens[lo:hi], mode, False)
+        logits[lo * n : hi * n] = block.data
+    return Tensor2(logits), None
+
+
+def _block_bounds(cfg, n_seqs, n, itemsize):
+    """Sequence bounds of near-equal blocks, each within BLOCK_BUDGET if a
+    sequence fits. A 1-row matmul takes BLAS's gemv, whose bits differ from
+    gemm's; at least 3 one-token sequences per block keep every block of a
+    batch of more than one row at 2 rows or more."""
+    per_seq = itemsize * n * max(cfg.d_ff, cfg.vocab_size, cfg.n_heads * n)
+    cap = max(1 if n > 1 else 3, BLOCK_BUDGET // per_seq)
+    k = -(-n_seqs // cap)
+    return [n_seqs * i // k for i in range(k + 1)]
 
 
 def _forward_body(params, tokens, mode, want_trace, graph):
@@ -303,8 +329,10 @@ def forward(
 
 
 def forward_batch(params: Params, tokens, graph: GradGraph | None = None) -> Tensor2:
-    """Run a [B x n] token matrix in one pass under the config's gate mode;
-    returns [(B*n) x V] logits with row b*n + t holding sequence b position t."""
+    """Run a [B x n] token matrix under the config's gate mode; returns
+    [(B*n) x V] logits with row b*n + t holding sequence b position t.
+    Without a graph the batch runs in blocks of whole sequences sized to
+    BLOCK_BUDGET, bitwise equal to one pass."""
     logits, _ = _forward_impl(params, tokens, None, graph, want_trace=False)
     return logits
 

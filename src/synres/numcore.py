@@ -308,7 +308,7 @@ def sigmoid(x: Tensor2, graph: GradGraph | None = None) -> Tensor2:
     out_data = np.negative(x.data)
     np.exp(out_data, out=out_data)
     out_data += 1.0
-    np.divide(1.0, out_data, out=out_data)
+    np.reciprocal(out_data, out=out_data)
     return _result(None, out_data, graph, (x,), lambda g: (g * out_data * (1.0 - out_data),))
 
 
@@ -359,10 +359,12 @@ def frobenius_sq(x: Tensor2, graph: GradGraph | None = None) -> Tensor2:
 
 
 def _row_mean(a: np.ndarray) -> np.ndarray:
-    """a.mean(axis=1, keepdims=True), bitwise: the same sum and float64 divide
-    by an intp count, without ndarray.mean's Python wrapper."""
+    """a.mean(axis=1, keepdims=True), bitwise, without ndarray.mean's Python
+    wrapper. mean divides in float64 and rounds to a's dtype; for float32,
+    one float32 divide rounds the same, as 53 >= 2 * 24 + 2 bits."""
     s = np.add.reduce(a, axis=1, keepdims=True)
-    return np.true_divide(s, np.intp(a.shape[1]), out=s, casting="unsafe")
+    s /= a.shape[1]
+    return s
 
 
 @_quiet

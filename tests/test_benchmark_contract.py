@@ -90,3 +90,22 @@ def test_traced_forward_runs_each_op_once():
     assert set(recorded) <= set(tracer.NUMCORE_OPS) and graph.n_ops > 0
     for op in tracer.NUMCORE_OPS:
         assert calls[f"numcore.{op}.fwd"] == recorded[op], op
+
+
+def test_traced_blocked_eval_chunk_is_one_span_counting_every_sequence(monkeypatch):
+    # a chunk that runs in blocks is still one forward_batch call: one span,
+    # whose flops and tokens count every sequence of the chunk
+    params = init_params(CFG, Rng(6))
+    tokens = Rng(7).integers(0, CFG.vocab_size, size=(5, 6))
+    monkeypatch.setattr(model, "BLOCK_BUDGET", 1)
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        evalsuite.forward_batch(params, tokens)
+    finally:
+        spans.uninstall()
+    calls = Counter(spans.names[i] for i in spans.name_of)
+    assert calls["model.forward_batch@evalsuite"] == 1
+    assert calls["numcore.gather_rows.fwd"] == 2 * 5  # token and position rows, per block
+    assert spans.counters["flops"] == 5 * count_flops(CFG, 6).total
+    assert spans.counters["evalsuite_tokens"] == 5 * 6

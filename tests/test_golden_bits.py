@@ -2,12 +2,13 @@
 
 Initial parameters and a gen-data artifact depend only on numpy's Philox
 streams, and a run's config.txt only on its config, so their digests are
-always asserted. Logits, checkpoints and metrics also depend on the BLAS
-kernels and numpy's SIMD loops, so they are pinned per fingerprint (numpy,
-BLAS, CPU features, dtype); each gate mode's logits have their own digest,
-so a diff of the json shows which modes moved. On a fingerprint with no
-pinned digests the test computes everything twice, in two fresh processes,
-asserts the two agree and warns that the golden comparison did not apply.
+always asserted. Logits, checkpoints, metrics and eval.csv also depend on
+the BLAS kernels and numpy's SIMD loops, so they are pinned per fingerprint
+(numpy, BLAS, CPU features, dtype); each gate mode's logits have their own
+digest, so a diff of the json shows which modes moved. On a fingerprint
+with no pinned digests the test computes everything twice, in two fresh
+processes, asserts the two agree and warns that the golden comparison did
+not apply.
 
 A change that moves bits on purpose re-records the digests of this machine,
 printing each key whose digest changed:
@@ -28,11 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
+from synres import model
 from synres.cli import main
 from synres.model import GateMode, ModelConfig, forward, init_params
 from synres.numcore import Rng
 
 GOLDEN = Path(__file__).with_name("golden_bits.json")
+EVAL_SAMPLES = 64
 ALWAYS = ("init_params", "gen_data_kv_recall", "learned.config.txt", "disabled.config.txt")
 
 README_MODEL = ModelConfig(
@@ -118,6 +121,12 @@ def digests(work: Path) -> dict[str, str]:
         for name in ("config.txt", "last.ckpt", "best.ckpt"):
             got[f"{mode}.{name}"] = _sha((out / name).read_bytes())
         got[f"{mode}.metrics_body"] = _sha(_metrics_body(out / "metrics.csv"))
+        # eval by flags: 64 kv_recall rows of 40 tokens make one chunk,
+        # which the no-graph forward runs in several blocks
+        assert main(["eval", str(out / "last.ckpt"), "--task", "kv_recall", "--distances", "16,32,38",
+                     "--vocab-size", "64", "--samples", str(EVAL_SAMPLES), "--task-seed", "2",
+                     "--seed", "3", "--out", str(out / "eval")]) == 0
+        got[f"{mode}.eval.csv"] = _sha((out / "eval" / "eval.csv").read_bytes())
     return got
 
 
@@ -132,6 +141,8 @@ def _digests_in_fresh_process(work: Path) -> dict[str, str]:
 
 
 def test_golden_bits(tmp_path):
+    # the pinned eval.csv covers a forward run in blocks
+    assert len(model._block_bounds(README_MODEL, EVAL_SAMPLES, 40, 4)) > 2
     golden = json.loads(GOLDEN.read_text())
     pinned = golden["by_fingerprint"].get(fingerprint())
     if pinned is None:

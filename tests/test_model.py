@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from synres import model
 from synres import numcore as nc
 from synres.model import (
     GateMode,
@@ -350,6 +351,73 @@ def test_a_key_the_softmax_drops_still_raises():
     layer.w_q.data[7, 0] = 1.0
     layer.w_k.data[0, 0] = -1.7e38
     assert deferred_against_checked(params) == "matmul produced a non-finite value"
+
+
+# --------------------------------------------------------------------------
+# blocked no-graph forward
+# --------------------------------------------------------------------------
+
+
+def _block_sizes(monkeypatch):
+    """The sequences per _forward_body call, filled in as forwards run."""
+    sizes = []
+    body = model._forward_body
+
+    def counted(params, tokens, *args):
+        sizes.append(tokens.shape[0])
+        return body(params, tokens, *args)
+
+    monkeypatch.setattr(model, "_forward_body", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_forward_batch_is_bitwise_one_pass(monkeypatch, dtype):
+    # uneven tails, and many one-token sequences, whose 1-row blocks would
+    # take gemv; every budget against the whole batch run once, checked
+    params = tiny_params(seed=50, dtype=dtype)
+    sizes = _block_sizes(monkeypatch)
+    for mode in (GateMode.LEARNED, GateMode.DISABLED):
+        p = params.with_gate_mode(mode)
+        for n_seqs, n in ((7, 8), (33, 5), (40, 1), (5, 1), (2, 1), (1, 1)):
+            tokens = nc.Rng(n_seqs * n).integers(0, TINY.vocab_size, size=(n_seqs, n))
+            want = _forward_body(p, tokens, mode, False, None)[0].data
+            for budget in (1, 1000, 4000, 1 << 30):
+                monkeypatch.setattr(model, "BLOCK_BUDGET", budget)
+                sizes.clear()
+                got = forward_batch(p, tokens).data
+                assert got.tobytes() == want.tobytes(), (mode, n_seqs, n, budget)
+                assert sum(sizes) == n_seqs and max(sizes) - min(sizes) <= 1
+                assert min(sizes) * n >= 2 or n_seqs * n == 1
+                if budget == 1 and n_seqs > 3:
+                    assert len(sizes) > 1
+            # a recording forward runs whole, whatever the budget
+            sizes.clear()
+            forward_batch(p, tokens, graph=nc.GradGraph())
+            assert sizes == [n_seqs]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_forward_faults_like_the_checked_one_pass(monkeypatch, dtype):
+    tokens = nc.Rng(51).integers(0, TINY.vocab_size, size=(6, 8))
+    sizes = _block_sizes(monkeypatch)
+    monkeypatch.setattr(model, "BLOCK_BUDGET", 1)
+    forward_batch(tiny_params(seed=30, dtype=dtype), tokens)
+    assert sizes == [1] * 6
+    raised = Counter()
+    for name, _ in tiny_params().named_tensors():
+        for poison in ("nan", "inf", "fill"):
+            params = tiny_params(seed=30, dtype=dtype)
+            flat = dict(params.named_tensors())[name].data.reshape(-1)
+            if poison == "fill":
+                flat[:] = 3e38
+            else:
+                flat[flat.size // 2] = float(poison)
+            mode = params.config.gate_mode
+            checked = _outcome(lambda: _forward_body(params, tokens, mode, False, None)[0])
+            assert _outcome(lambda: forward_batch(params, tokens)) == checked, (name, poison)
+            raised[checked.split(" ")[0] if isinstance(checked, str) else "finite"] += 1
+    assert len(raised) >= 4, raised
 
 
 # --------------------------------------------------------------------------

@@ -162,6 +162,8 @@ def test_sigmoid_oracles():
         normal = want >= tiny
         assert (err[normal] <= 4 * np.spacing(want[normal].astype(dtype))).all()
         assert (err[~normal] < tiny).all()
+        with np.errstate(over="ignore"):
+            assert_bitwise(out, 1.0 / (1.0 + np.exp(-x)))  # the plain formula in dtype
 
 
 @settings(max_examples=50, deadline=None)
@@ -564,6 +566,18 @@ def test_gelu_bitwise_against_formula(dtype):
     assert_bitwise(nc.gelu(x).data, ref_out)
     (dx,) = vjp(g)
     assert_bitwise(dx, ref_dx)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_row_mean_bitwise_equal_to_ndarray_mean(dtype):
+    # one rounding in dtype against mean's float64 divide rounded to dtype;
+    # rows scaled 1e-30 .. 1e30, signed and all positive
+    scales = 10.0 ** np.arange(-30, 31, 5)[:, None]
+    rng = np.random.default_rng(60)
+    for width in (*range(1, 301), 4097):
+        x = rng.standard_normal((scales.size, width)) * scales
+        for a in (x.astype(dtype), np.abs(x).astype(dtype)):
+            assert_bitwise(nc._row_mean(a), a.mean(axis=1, keepdims=True))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
