@@ -1,7 +1,10 @@
 """Measurement surface: perplexity, retention probe, noise grid, coherence
 curve, latency benchmark, and the paired gate-on/gate-off ablation runner.
 
-Evaluation never records gradients and never mutates parameters. Every
+Evaluation never records gradients and never mutates parameters. It
+computes logits only at the positions a chunk scores (a column of its loss
+mask with a row in), at the README config bitwise the full forward's logits: a
+kv_recall chunk scores 1 position of its 40, a copy chunk 16 of 34. Every
 function runs the gate in params.config's mode; to evaluate the same weights
 under another mode, pass params.with_gate_mode(mode). All accuracy metrics use
 greedy argmax; the retention scorer restricts the argmax to the value-token
@@ -70,9 +73,15 @@ class LatencyCurve:
             raise ValueError("latency medians need >= 20 repetitions after >= 3 warmups")
 
 
-def _eval_chunks(dataset: Batch):
+def _scored_chunks(params: Params, dataset: Batch):
+    """(first row, chunk, P scored positions, [(rows*P) x V] logits) for
+    each EVAL_CHUNK rows that score a position; a chunk scoring none runs
+    no forward."""
     for at in range(0, dataset.n_rows, EVAL_CHUNK):
-        yield dataset.rows(slice(at, at + EVAL_CHUNK))
+        chunk = dataset.rows(slice(at, at + EVAL_CHUNK))
+        positions = np.flatnonzero(chunk.loss_mask.any(axis=0))
+        if positions.size:
+            yield at, chunk, positions, forward_batch(params, chunk.tokens, positions=positions).data
 
 
 def perplexity(params: Params, dataset: Batch) -> float:
@@ -80,11 +89,10 @@ def perplexity(params: Params, dataset: Batch) -> float:
     if dataset.n_rows == 0:
         raise ValueError("empty evaluation stream")
     total, count = 0.0, 0
-    for chunk in _eval_chunks(dataset):
-        logits = forward_batch(params, chunk.tokens)
-        msk = chunk.loss_mask.reshape(-1)
-        safe_tgt = np.where(msk, chunk.targets.reshape(-1), 0)
-        nll, _, _ = _row_nll(logits.data.astype(np.float64), safe_tgt)
+    for _, chunk, positions, logits in _scored_chunks(params, dataset):
+        msk = chunk.loss_mask[:, positions].reshape(-1)
+        safe_tgt = np.where(msk, chunk.targets[:, positions].reshape(-1), 0)
+        nll, _, _ = _row_nll(logits.astype(np.float64), safe_tgt)
         total += float(nll[msk].sum())
         count += int(msk.sum())
     return float(np.exp(total / count))
@@ -95,18 +103,16 @@ def greedy_predictions(
     dataset: Batch,
     value_range: tuple[int, int] | None = None,
 ) -> np.ndarray:
-    """[B x n] argmax predictions, optionally restricted to a token range."""
-    out = np.empty_like(dataset.tokens)
-    at = 0
-    for chunk in _eval_chunks(dataset):
-        logits = forward_batch(params, chunk.tokens).data
+    """[B x n] argmax predictions, optionally restricted to a token range,
+    at every position some row of its chunk scores; -1 at the others."""
+    out = np.full_like(dataset.tokens, -1)
+    for at, chunk, positions, logits in _scored_chunks(params, dataset):
         if value_range is not None:
             lo, hi = value_range
             pred = lo + logits[:, lo:hi].argmax(axis=1)
         else:
             pred = logits.argmax(axis=1)
-        out[at : at + chunk.n_rows] = pred.reshape(chunk.n_rows, chunk.seq_len)
-        at += chunk.n_rows
+        out[at : at + chunk.n_rows, positions] = pred.reshape(chunk.n_rows, positions.size)
     return out
 
 

@@ -218,13 +218,12 @@ class ActivationTrace:
 
 def _attention(x, layer, n_heads, n_seqs, graph):
     """Causal multi-head self-attention: per head, softmax of the masked
-    q k^T / sqrt(d/n_heads) applied to v; heads concatenated and projected by
-    w_o. Returns the projected output a that feeds the gate."""
+    q k^T / sqrt(d/n_heads) applied to v; heads concatenated. The caller
+    projects the result by w_o into the output a that feeds the gate."""
     q = nc.matmul(x, layer.w_q, graph)
     k = nc.matmul(x, layer.w_k, graph)
     v = nc.matmul(x, layer.w_v, graph)
-    core = nc.multihead_attention(q, k, v, n_heads, n_seqs=n_seqs, graph=graph)
-    return nc.matmul(core, layer.w_o, graph)
+    return nc.multihead_attention(q, k, v, n_heads, n_seqs=n_seqs, graph=graph)
 
 
 def resonance_gate(
@@ -250,7 +249,7 @@ def resonance_gate(
     return None, a
 
 
-def _forward_impl(params, tokens, mode, graph, want_trace):
+def _forward_impl(params, tokens, mode, graph, want_trace, positions=None):
     cfg = params.config
     tokens = np.asarray(tokens)
     if tokens.ndim == 1:
@@ -262,19 +261,45 @@ def _forward_impl(params, tokens, mode, graph, want_trace):
         raise ValueError(f"sequence length {n} outside [1, {cfg.max_seq_len}]")
     if tokens.dtype.kind not in "iu":
         raise ValueError(f"tokens must be integers, got dtype {tokens.dtype}")
+    if positions is not None:
+        positions = _check_positions(positions, n)
     mode = GateMode(mode if mode is not None else cfg.gate_mode)
     bounds = [0, tokens.shape[0]]
     if tokens.shape[0] > 1 and graph is None and not want_trace:
         bounds = _block_bounds(cfg, tokens.shape[0], n, params.dtype.itemsize)
     if len(bounds) == 2:
-        return nc.run_deferred(_forward_body, graph, params, tokens, mode, want_trace)
+        return _run_block(params, tokens, mode, positions, want_trace, graph)
     # every op is local to a row or a sequence, so each block's logits are
-    # bitwise those rows of the one-block forward
-    logits = np.empty((tokens.size, cfg.vocab_size), dtype=params.dtype)
+    # bitwise those rows of the one-block forward wherever the BLAS rounds a
+    # matmul row the same for any row count (README, Memory and speed)
+    rows = n if positions is None else positions.size
+    logits = np.empty((tokens.shape[0] * rows, cfg.vocab_size), dtype=params.dtype)
     for lo, hi in zip(bounds, bounds[1:]):
-        block, _ = nc.run_deferred(_forward_body, None, params, tokens[lo:hi], mode, False)
-        logits[lo * n : hi * n] = block.data
+        block, _ = _run_block(params, tokens[lo:hi], mode, positions, False, None)
+        logits[lo * rows : hi * rows] = block.data
     return Tensor2(logits), None
+
+
+def _check_positions(positions, n):
+    """positions as a strictly increasing int64 array within [0, n); None
+    when they cover every position, which the full forward scores anyway."""
+    p = np.asarray(positions)
+    if p.ndim != 1 or p.size == 0 or p.dtype.kind not in "iu":
+        raise ValueError(f"positions must be a non-empty 1-D integer array, got {p!r}")
+    p = p.astype(np.int64)
+    if p[0] < 0 or p[-1] >= n or (np.diff(p) <= 0).any():
+        raise ValueError(f"positions must increase strictly within [0, {n}), got {p.tolist()}")
+    return None if p.size == n else p
+
+
+def _run_block(params, tokens, mode, positions, want_trace, graph):
+    """One deferred-check forward. A selection of a single row runs every
+    position and takes that row's logits: numpy hands a 1-row matmul to
+    BLAS's gemv, whose bits differ from gemm's."""
+    if positions is not None and tokens.shape[0] * positions.size == 1:
+        logits, trace = nc.run_deferred(_forward_body, graph, params, tokens, mode, None, want_trace)
+        return nc.gather_rows(logits, positions, graph), trace
+    return nc.run_deferred(_forward_body, graph, params, tokens, mode, positions, want_trace)
 
 
 def _block_bounds(cfg, n_seqs, n, itemsize):
@@ -288,8 +313,10 @@ def _block_bounds(cfg, n_seqs, n, itemsize):
     return [n_seqs * i // k for i in range(k + 1)]
 
 
-def _forward_body(params, tokens, mode, want_trace, graph):
-    """The forward on validated [B x n] tokens; every op checks unless deferred."""
+def _forward_body(params, tokens, mode, positions, want_trace, graph):
+    """The forward on validated [B x n] tokens; every op checks unless deferred.
+    With positions, the last layer keeps only those rows of each sequence
+    once attention has read every position, and its logits are [(B*P) x V]."""
     n_seqs, n = tokens.shape
     # the n position rows are gathered once and added to every sequence
     x = nc.add_row(
@@ -298,9 +325,17 @@ def _forward_body(params, tokens, mode, want_trace, graph):
         graph,
     )
     trace = ActivationTrace() if want_trace else None
+    last = params.layers[-1]
     for layer in params.layers:
         h = nc.layer_norm(x, layer.ln1_gain, layer.ln1_bias, eps=LN_EPS, graph=graph)
-        a = _attention(h, layer, params.config.n_heads, n_seqs, graph)
+        core = _attention(h, layer, params.config.n_heads, n_seqs, graph)
+        if positions is not None and layer is last:
+            # keys and values have covered every position; every op from
+            # here on is local to a row
+            rows = (np.arange(n_seqs)[:, None] * n + positions).reshape(-1)
+            core = nc.gather_rows(core, rows, graph)
+            x = nc.gather_rows(x, rows, graph)
+        a = nc.matmul(core, layer.w_o, graph)
         r, o = resonance_gate(a, layer.w_s, mode, graph)
         if trace is not None:
             trace.layers.append(LayerTrace(a=a, r=r, o=o))
@@ -328,12 +363,22 @@ def forward(
     return _forward_impl(params, np.asarray(tokens).reshape(-1), mode, graph, want_trace)
 
 
-def forward_batch(params: Params, tokens, graph: GradGraph | None = None) -> Tensor2:
+def forward_batch(
+    params: Params, tokens, graph: GradGraph | None = None, positions=None
+) -> Tensor2:
     """Run a [B x n] token matrix under the config's gate mode; returns
     [(B*n) x V] logits with row b*n + t holding sequence b position t.
     Without a graph the batch runs in blocks of whole sequences sized to
-    BLOCK_BUDGET, bitwise equal to one pass."""
-    logits, _ = _forward_impl(params, tokens, None, graph, want_trace=False)
+    BLOCK_BUDGET, bitwise equal to one pass where the BLAS rounds a matmul
+    row the same for any row count, as at the README config.
+
+    positions, strictly increasing and the same for every sequence, names
+    the P positions whose logits the caller reads; the result is then
+    [(B*P) x V], row b*P + j holding sequence b at positions[j], bitwise
+    those rows of the full forward. Every layer but the last runs on every
+    position, and the last runs its attention on every position too; from
+    its output projection to the unembedding, only the B*P rows run."""
+    logits, _ = _forward_impl(params, tokens, None, graph, False, positions)
     return logits
 
 

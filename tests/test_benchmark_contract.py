@@ -94,18 +94,23 @@ def test_traced_forward_runs_each_op_once():
 
 def test_traced_blocked_eval_chunk_is_one_span_counting_every_sequence(monkeypatch):
     # a chunk that runs in blocks is still one forward_batch call: one span,
-    # whose flops and tokens count every sequence of the chunk
+    # whose tokens count every input token of the chunk. Its flops are the
+    # full forward's, which is what the tracer charges with positions too
     params = init_params(CFG, Rng(6))
     tokens = Rng(7).integers(0, CFG.vocab_size, size=(5, 6))
     monkeypatch.setattr(model, "BLOCK_BUDGET", 1)
-    spans = tracer.Tracer()
-    spans.install()
-    try:
-        evalsuite.forward_batch(params, tokens)
-    finally:
-        spans.uninstall()
-    calls = Counter(spans.names[i] for i in spans.name_of)
-    assert calls["model.forward_batch@evalsuite"] == 1
-    assert calls["numcore.gather_rows.fwd"] == 2 * 5  # token and position rows, per block
-    assert spans.counters["flops"] == 5 * count_flops(CFG, 6).total
-    assert spans.counters["evalsuite_tokens"] == 5 * 6
+    # per block: token and position rows, then the last layer's two row
+    # gathers, or one gather of the logits where a block selects one row
+    for positions, gathers in ((None, 2), ([2, 5], 4), ([5], 3)):
+        spans = tracer.Tracer()
+        spans.install()
+        try:
+            evalsuite.forward_batch(params, tokens, positions=positions)
+        finally:
+            spans.uninstall()
+        calls = Counter(spans.names[i] for i in spans.name_of)
+        assert calls["model.forward_batch@evalsuite"] == 1
+        assert calls["numcore.gather_rows.fwd"] == gathers * 5
+        assert spans.counters["evalsuite_tokens"] == 5 * 6
+        if positions is None:
+            assert spans.counters["flops"] == 5 * count_flops(CFG, 6).total

@@ -6,13 +6,16 @@ import math
 import numpy as np
 import pytest
 
+from synres import evalsuite
 from synres import numcore as nc
 from synres.datagen import TaskSpec, VocabLayout, build_task_data, gen_copy, gen_kv_recall
 from synres.evalsuite import (
+    EVAL_CHUNK,
     LatencyCurve,
     NoiseGrid,
     ablate,
     coherence_curve,
+    greedy_predictions,
     latency_bench,
     lookup_oracle,
     masked_accuracy,
@@ -21,7 +24,7 @@ from synres.evalsuite import (
     perplexity,
     retention_probe,
 )
-from synres.model import GateMode, ModelConfig, count_flops, init_params
+from synres.model import GateMode, ModelConfig, count_flops, forward_batch, init_params
 from synres.numcore import _row_nll
 from synres.train import TrainConfig
 
@@ -88,6 +91,50 @@ def test_perplexity_leaves_params_untouched(monkeypatch):
     assert recorded == []
     for n, t in params.named_tensors():
         np.testing.assert_array_equal(t.data, before[n])
+
+
+def _full_forward_reference(params, ds):
+    """Perplexity and argmax predictions from every position's logits, as
+    the full forward gives them."""
+    total, count, preds = 0.0, 0, []
+    for at in range(0, ds.n_rows, EVAL_CHUNK):
+        chunk = ds.rows(slice(at, at + EVAL_CHUNK))
+        logits = forward_batch(params, chunk.tokens).data
+        msk = chunk.loss_mask.reshape(-1)
+        nll, _, _ = _row_nll(logits.astype(np.float64), np.where(msk, chunk.targets.reshape(-1), 0))
+        total += float(nll[msk].sum())
+        count += int(msk.sum())
+        preds.append(logits.argmax(axis=1).reshape(chunk.tokens.shape))
+    return float(np.exp(total / count)), np.concatenate(preds)
+
+
+@pytest.mark.parametrize("task", ["kv_recall", "copy"])
+def test_eval_reads_the_full_forwards_logits_at_scored_positions(monkeypatch, task):
+    # 100 rows make a full and a partial chunk
+    if task == "kv_recall":
+        _, layout, ds = kv_setup(samples=100)
+    else:
+        layout = VocabLayout.synthetic(32)
+        ds = gen_copy(TaskSpec(kind="copy", seq_len=20, samples=100, seed=4), layout, nc.Rng(4))
+    # on this OpenBLAS a matmul's row has the same bits whatever the row
+    # count when its output width is a multiple of 16 (float32), or when the
+    # product is small; d 32 keeps every matmul here in one of the two
+    params = untrained_model(layout.vocab_size, d=32, seed=5)
+    want_ppl, want_pred = _full_forward_reference(params, ds)
+    assert perplexity(params, ds) == want_ppl
+    scored = ds.loss_mask.any(axis=0)
+    pred = greedy_predictions(params, ds)
+    np.testing.assert_array_equal(pred[:, scored], want_pred[:, scored])
+    assert (pred[:, ~scored] == -1).all()
+
+    # a chunk that scores no position runs no forward and predicts -1
+    ds.loss_mask[EVAL_CHUNK:] = False
+    calls = []
+    real = evalsuite.forward_batch
+    monkeypatch.setattr(evalsuite, "forward_batch", lambda *a, **k: calls.append(1) or real(*a, **k))
+    pred = greedy_predictions(params, ds)
+    assert len(calls) == 1 and (pred[EVAL_CHUNK:] == -1).all()
+    np.testing.assert_array_equal(pred[:EVAL_CHUNK, scored], want_pred[:EVAL_CHUNK, scored])
 
 
 # --------------------------------------------------------------------------

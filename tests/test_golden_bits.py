@@ -36,6 +36,7 @@ from synres.numcore import Rng
 
 GOLDEN = Path(__file__).with_name("golden_bits.json")
 EVAL_SAMPLES = 64
+COPY_EVAL_SAMPLES = 96
 ALWAYS = ("init_params", "gen_data_kv_recall", "learned.config.txt", "disabled.config.txt")
 
 README_MODEL = ModelConfig(
@@ -127,6 +128,12 @@ def digests(work: Path) -> dict[str, str]:
                      "--vocab-size", "64", "--samples", str(EVAL_SAMPLES), "--task-seed", "2",
                      "--seed", "3", "--out", str(out / "eval")]) == 0
         got[f"{mode}.eval.csv"] = _sha((out / "eval" / "eval.csv").read_bytes())
+        # eval by flags on copy data: perplexity on the scored columns of a
+        # full and a half chunk, coherence through greedy_predictions, noise
+        assert main(["eval", str(out / "last.ckpt"), "--task", "copy", "--seq-len", "34",
+                     "--vocab-size", "64", "--samples", str(COPY_EVAL_SAMPLES), "--task-seed", "2",
+                     "--seed", "3", "--out", str(out / "eval_copy")]) == 0
+        got[f"{mode}.eval_copy.csv"] = _sha((out / "eval_copy" / "eval.csv").read_bytes())
     return got
 
 

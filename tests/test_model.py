@@ -18,6 +18,7 @@ from synres.model import (
     param_count,
     resonance_gate,
 )
+from synres.train import loss
 
 SPEC_CENSUS_CONFIG = ModelConfig(
     vocab_size=64, d_model=32, n_heads=4, n_layers=2, d_ff=128, max_seq_len=128
@@ -287,11 +288,11 @@ def deferred_against_checked(params):
     message or the same logits bits, and the same records on a graph.
     Returns the checked outcome."""
     mode = params.config.gate_mode
-    checked = _outcome(lambda: _forward_body(params, FAULT_TOKENS, mode, False, None)[0])
+    checked = _outcome(lambda: _forward_body(params, FAULT_TOKENS, mode, None, False, None)[0])
     assert _outcome(lambda: forward_batch(params, FAULT_TOKENS)) == checked
     g_deferred, g_checked = nc.GradGraph(), nc.GradGraph()
     assert _outcome(lambda: forward_batch(params, FAULT_TOKENS, graph=g_deferred)) == checked
-    _outcome(lambda: _forward_body(params, FAULT_TOKENS, mode, False, g_checked)[0])
+    _outcome(lambda: _forward_body(params, FAULT_TOKENS, mode, None, False, g_checked)[0])
     assert g_deferred.n_ops == g_checked.n_ops
     return checked
 
@@ -381,7 +382,7 @@ def test_blocked_forward_batch_is_bitwise_one_pass(monkeypatch, dtype):
         p = params.with_gate_mode(mode)
         for n_seqs, n in ((7, 8), (33, 5), (40, 1), (5, 1), (2, 1), (1, 1)):
             tokens = nc.Rng(n_seqs * n).integers(0, TINY.vocab_size, size=(n_seqs, n))
-            want = _forward_body(p, tokens, mode, False, None)[0].data
+            want = _forward_body(p, tokens, mode, None, False, None)[0].data
             for budget in (1, 1000, 4000, 1 << 30):
                 monkeypatch.setattr(model, "BLOCK_BUDGET", budget)
                 sizes.clear()
@@ -414,10 +415,140 @@ def test_blocked_forward_faults_like_the_checked_one_pass(monkeypatch, dtype):
             else:
                 flat[flat.size // 2] = float(poison)
             mode = params.config.gate_mode
-            checked = _outcome(lambda: _forward_body(params, tokens, mode, False, None)[0])
+            checked = _outcome(lambda: _forward_body(params, tokens, mode, None, False, None)[0])
             assert _outcome(lambda: forward_batch(params, tokens)) == checked, (name, poison)
             raised[checked.split(" ")[0] if isinstance(checked, str) else "finite"] += 1
     assert len(raised) >= 4, raised
+
+
+# --------------------------------------------------------------------------
+# positions-limited forward
+# --------------------------------------------------------------------------
+
+README_MODEL = ModelConfig(
+    vocab_size=64, d_model=64, n_heads=4, n_layers=2, d_ff=256, max_seq_len=40
+)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_positions_limited_logits_are_the_full_forwards_rows(monkeypatch, dtype):
+    cases = (
+        (64, 40, [39], (1, 512 * 1024)),  # a kv_recall eval chunk; 1 byte: 64 one-row blocks
+        (64, 34, range(17, 33), (1, 512 * 1024)),  # a copy chunk's scored columns
+        (7, 40, [0, 9, 39], (1, 40_000, 100_000, 1 << 30)),  # uneven blocks
+        (1, 40, [39], (1, 1 << 30)),  # one row, which would take gemv
+        (1, 40, [0], (1, 1 << 30)),
+        (2, 40, [39], (1, 1 << 30)),
+        (5, 1, [0], (1, 1 << 30)),  # one-token sequences
+        (1, 1, [0], (1, 1 << 30)),
+    )
+    base = init_params(README_MODEL, nc.Rng(60), dtype=dtype)
+    sizes = _block_sizes(monkeypatch)
+    for mode in GateMode:
+        p = base.with_gate_mode(mode)
+        for n_seqs, n, positions, budgets in cases:
+            tokens = nc.Rng(n_seqs * n).integers(0, README_MODEL.vocab_size, size=(n_seqs, n))
+            positions = np.array(positions)
+            full = _forward_body(p, tokens, mode, None, False, None)[0].data
+            want = full.reshape(n_seqs, n, -1)[:, positions].reshape(n_seqs * positions.size, -1)
+            for budget in budgets:
+                monkeypatch.setattr(model, "BLOCK_BUDGET", budget)
+                sizes.clear()
+                got = forward_batch(p, tokens, positions=positions).data
+                assert got.tobytes() == want.tobytes(), (mode, n_seqs, n, positions, budget)
+                if budget == 1 and n_seqs > 3:
+                    assert len(sizes) > 1
+            got = forward_batch(p, tokens, graph=nc.GradGraph(), positions=positions).data
+            assert got.tobytes() == want.tobytes(), (mode, n_seqs, n, positions, "graph")
+
+
+def test_positions_limited_forward_runs_the_last_layer_on_the_selected_rows():
+    params = tiny_params(seed=61)
+    tokens = nc.Rng(62).integers(0, TINY.vocab_size, size=(4, 8))
+    full, limited = nc.GradGraph(), nc.GradGraph()
+    forward_batch(params, tokens, graph=full)
+    forward_batch(params, tokens, graph=limited, positions=[2, 5, 7])
+    ops = [(vjp.__qualname__.split(".")[0], out.rows) for out, _, vjp in limited._records]
+    # the last layer gathers 4 x 3 rows of its attention core and of the
+    # residual stream; everything after runs on those rows alone
+    first = [rows for _, rows in ops].index(12)
+    assert [name for name, _ in ops[first:]] == [
+        "gather_rows", "gather_rows", "matmul",  # w_o
+        "matmul", "sigmoid", "hadamard", "add",  # gate, residual
+        "layer_norm", "matmul", "add_row", "gelu", "matmul", "add_row", "add",  # FFN
+        "layer_norm", "matmul",  # final norm, unembedding
+    ]
+    assert {rows for _, rows in ops[first:]} == {12}
+    assert limited.n_ops == full.n_ops + 2
+    # positions covering every position run the full forward
+    every = nc.GradGraph()
+    forward_batch(params, tokens, graph=every, positions=np.arange(8))
+    assert every.n_ops == full.n_ops
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [[], [3, 1], [2, 2], [-1, 3], [0, 8], [1.0, 2.0], [True, False], [[1, 2]], "1"],
+)
+def test_bad_positions_are_a_value_error(positions):
+    tokens = np.zeros((2, 8), dtype=np.int64)
+    with pytest.raises(ValueError, match="positions must"):
+        forward_batch(tiny_params(), tokens, positions=np.asarray(positions))
+
+
+def _positions_case(n_seqs, positions):
+    """criterion 01's well-conditioned float64 model loss, scored at
+    positions only, and the same loss through the full forward with the
+    loss mask on those positions."""
+    params = tiny_params(seed=15, dtype=np.float64)
+    rng = np.random.default_rng(0)
+    tokens = rng.integers(0, TINY.vocab_size, size=(n_seqs, 6))
+    targets = rng.integers(0, TINY.vocab_size, size=(n_seqs, len(positions)))
+    scored = np.ones(targets.size, dtype=bool)
+
+    def limited(graph):
+        logits = forward_batch(params, tokens, graph=graph, positions=positions)
+        return loss(logits, targets.reshape(-1), scored, params.synaptic(), 1e-3, graph=graph)[0]
+
+    def masked(graph):
+        full_targets = np.zeros(tokens.shape, dtype=np.int64)
+        full_targets[:, positions] = targets
+        mask = np.zeros(tokens.shape, dtype=bool)
+        mask[:, positions] = True
+        logits = forward_batch(params, tokens, graph=graph)
+        return loss(logits, full_targets.reshape(-1), mask.reshape(-1), params.synaptic(), 1e-3,
+                    graph=graph)[0]
+
+    return params, limited, masked
+
+
+def test_positions_limited_grad_check_float64():
+    # criterion 01's per-tensor full-model check, through a recording
+    # forward that gathers the last layer's rows
+    params, limited, _ = _positions_case(2, [1, 5])
+    worst = 0.0
+    for _, tensor in params.named_tensors():
+        err = min(
+            nc.grad_check(lambda i, g: limited(g), [tensor], eps=eps)
+            for eps in (1e-5, 1e-4, 1e-3)
+        )
+        worst = max(worst, err)
+    assert worst < 1e-5, f"positions-limited 64-bit rel error {worst}"
+
+
+@pytest.mark.parametrize("n_seqs, positions", [(2, [1, 5]), (1, [5])])
+def test_positions_limited_gradients_are_the_masked_full_forwards(n_seqs, positions):
+    # (1, [5]) takes the one-row rule; the sums run in another order, so
+    # the gradients agree to rounding rather than bitwise
+    params, limited, masked = _positions_case(n_seqs, positions)
+    tensors = [t for _, t in params.named_tensors()]
+    g_limited, g_masked = nc.GradGraph(), nc.GradGraph()
+    loss_limited, loss_masked = limited(g_limited), masked(g_masked)
+    assert loss_limited.item() == pytest.approx(loss_masked.item(), rel=1e-14)
+    got = nc.backward(g_limited, loss_limited, tensors)
+    want = nc.backward(g_masked, loss_masked, tensors)
+    for (name, _), a, b in zip(params.named_tensors(), got, want):
+        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-16, err_msg=name)
 
 
 # --------------------------------------------------------------------------
