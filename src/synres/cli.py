@@ -388,9 +388,6 @@ def main(argv=None) -> int:
     _retain_freed_heap()
     try:
         return args.func(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except CheckpointError as err:
         print(f"error: corrupt checkpoint: {err}", file=sys.stderr)
         return 5

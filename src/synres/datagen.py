@@ -350,20 +350,15 @@ def batches(
     dataset: Batch,
     batch_size: int,
     rng: Rng | None = None,
-    shuffle: bool = False,
 ) -> Iterator[Batch]:
-    """Group dataset rows into batches; the final short group is emitted as-is."""
+    """Group dataset rows into batches, in an rng permutation when rng is
+    given and in row order otherwise; the final short group is emitted as-is."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = dataset.n_rows
     if n == 0:
         raise ValueError("empty dataset")
-    if shuffle:
-        if rng is None:
-            raise ValueError("shuffle requires an rng")
-        order = rng.permutation(n)
-    else:
-        order = np.arange(n)
+    order = np.arange(n) if rng is None else rng.permutation(n)
     for at in range(0, n, batch_size):
         yield dataset.rows(order[at : at + batch_size])
 

@@ -24,6 +24,7 @@ from .numcore import Rng, _row_nll
 
 DEFAULT_NOISE_LEVELS = (0, 10, 20, 30)
 EVAL_CHUNK = 64  # rows per forward pass during evaluation
+WARMUPS = 3  # untimed forwards before each latency measurement
 
 
 @dataclass
@@ -66,11 +67,10 @@ class LatencyCurve:
     rows: list[LatencyRow]
     gate_mode: GateMode
     repetitions: int
-    warmups: int
 
     def __post_init__(self):
-        if self.repetitions < 20 or self.warmups < 3:
-            raise ValueError("latency medians need >= 20 repetitions after >= 3 warmups")
+        if self.repetitions < 20:
+            raise ValueError(f"latency medians need >= 20 repetitions after {WARMUPS} warmups")
 
 
 def _scored_chunks(params: Params, dataset: Batch):
@@ -154,13 +154,13 @@ def noise_robustness(
     dataset: Batch,
     layout: VocabLayout,
     levels=DEFAULT_NOISE_LEVELS,
-    rng: Rng | None = None,
+    *,
+    rng: Rng,
 ) -> NoiseGrid:
     """Masked-position error rate after replacing input tokens at each noise
     level (percent). Level 0 reproduces the clean evaluation bitwise."""
     if any(not 0 <= lv <= 100 for lv in levels):
         raise ValueError(f"noise levels must be percentages in [0, 100], got {levels}")
-    rng = rng if rng is not None else Rng(0)
     value_range = (layout.value_lo, layout.value_hi) if dataset.meta is not None else None
     rows = []
     for level in levels:
@@ -187,7 +187,6 @@ def latency_bench(
     params: Params,
     seq_lens=None,
     repetitions: int = 20,
-    warmups: int = 3,
     seed: int = 0,
 ) -> LatencyCurve:
     """Median wall-clock of full-sequence forward passes on fixed random
@@ -203,7 +202,7 @@ def latency_bench(
     rows = []
     for n in seq_lens:
         tokens = Rng(seed).integers(0, cfg.vocab_size, size=n)
-        for _ in range(warmups):
+        for _ in range(WARMUPS):
             forward(params, tokens)
         timings = []
         for _ in range(repetitions):
@@ -217,9 +216,7 @@ def latency_bench(
                 flops=count_flops(cfg, n).total,
             )
         )
-    return LatencyCurve(
-        rows=rows, gate_mode=cfg.gate_mode, repetitions=repetitions, warmups=warmups
-    )
+    return LatencyCurve(rows=rows, gate_mode=cfg.gate_mode, repetitions=repetitions)
 
 
 def lookup_oracle(batch: Batch, layout: VocabLayout) -> np.ndarray:

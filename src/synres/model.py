@@ -13,7 +13,7 @@ weights under another mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Iterator
 
@@ -23,7 +23,6 @@ from . import numcore as nc
 from .numcore import GradGraph, Rng, Tensor2
 
 INIT_STD = 0.02  # init std for all non-gate weight matrices
-LN_EPS = 1e-5
 # bytes of a block's widest activation, [rows x max(d_ff, vocab, heads*n)],
 # when a no-graph forward runs a batch in blocks of whole sequences; chosen
 # by a sweep on the eval benchmark's 64 x 40 chunks
@@ -71,6 +70,8 @@ class ModelConfig:
 
 @dataclass
 class LayerParams:
+    """One layer's tensors; the field order is their checkpoint order."""
+
     w_q: Tensor2
     w_k: Tensor2
     w_v: Tensor2
@@ -88,7 +89,9 @@ class LayerParams:
 
 @dataclass
 class Params:
-    """Full trainable state: transformer weights plus per-layer gate matrices."""
+    """Full trainable state: transformer weights plus per-layer gate matrices.
+    The field order, with layers expanded in LayerParams' order, is the
+    checkpoint order."""
 
     config: ModelConfig
     tok_emb: Tensor2
@@ -98,38 +101,35 @@ class Params:
     final_bias: Tensor2
     unembed: Tensor2
 
+    @classmethod
+    def from_named(cls, config: ModelConfig, tensors: dict[str, Tensor2]) -> "Params":
+        """Params from a name -> tensor map holding exactly the tensors that
+        config needs; ValueError names the first missing, extra or mis-shaped
+        tensor."""
+        table, slots = _table(config), list(_slots(config.n_layers))
+        extra = sorted(set(tensors).difference(name for name, _, _ in slots))
+        if extra:
+            raise ValueError(f"tensor {extra[0]}: not a parameter of this config")
+        top, layers = {}, [{} for _ in range(config.n_layers)]
+        for name, i, fname in slots:
+            if name not in tensors:
+                raise ValueError(f"tensor {name}: missing")
+            t, shape = tensors[name], table[fname][0]
+            if t.shape != shape:
+                raise ValueError(f"tensor {name}: shape {t.shape}, expected {shape}")
+            (top if i is None else layers[i])[fname] = t
+        return cls(config=config, layers=[LayerParams(**lp) for lp in layers], **top)
+
     def named_tensors(self) -> Iterator[tuple[str, Tensor2]]:
-        """All trainable tensors in the stable manifest order."""
-        yield "tok_emb", self.tok_emb
-        yield "pos_emb", self.pos_emb
-        for i, layer in enumerate(self.layers):
-            for fname in (
-                "w_q", "w_k", "w_v", "w_o", "w_s",
-                "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2",
-                "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias",
-            ):
-                yield f"layer{i}.{fname}", getattr(layer, fname)
-        yield "final_gain", self.final_gain
-        yield "final_bias", self.final_bias
-        yield "unembed", self.unembed
+        """All trainable tensors in checkpoint order."""
+        for name, i, fname in _slots(len(self.layers)):
+            yield name, getattr(self if i is None else self.layers[i], fname)
 
     def synaptic(self) -> list[Tensor2]:
         return [layer.w_s for layer in self.layers]
 
     def copy(self) -> "Params":
-        layers = [
-            LayerParams(**{f: getattr(lp, f).copy() for f in lp.__dataclass_fields__})
-            for lp in self.layers
-        ]
-        return Params(
-            config=self.config,
-            tok_emb=self.tok_emb.copy(),
-            pos_emb=self.pos_emb.copy(),
-            layers=layers,
-            final_gain=self.final_gain.copy(),
-            final_bias=self.final_bias.copy(),
-            unembed=self.unembed.copy(),
-        )
+        return Params.from_named(self.config, {n: t.copy() for n, t in self.named_tensors()})
 
     def with_gate_mode(self, mode: GateMode) -> "Params":
         """Shallow copy whose config runs the gate in mode; shares every tensor."""
@@ -143,6 +143,36 @@ class Params:
         return self.tok_emb.dtype
 
 
+def _slots(n_layers: int) -> Iterator[tuple[str, int | None, str]]:
+    """(checkpoint name, layer index or None, field name) of every tensor,
+    in checkpoint order: Params' fields, with each layer's LayerParams
+    fields in place of layers."""
+    for f in fields(Params):
+        if f.name == "layers":
+            for i in range(n_layers):
+                for lf in fields(LayerParams):
+                    yield f"layer{i}.{lf.name}", i, lf.name
+        elif f.name != "config":
+            yield f.name, None, f.name
+
+
+def _table(config: ModelConfig) -> dict[str, tuple]:
+    """Field name -> (shape, init) of every trainable tensor; init is the std
+    of an N(0, std^2) draw, or nc.zeros or nc.ones."""
+    d, v, dff, std = config.d_model, config.vocab_size, config.d_ff, INIT_STD
+    return {
+        "tok_emb": ((v, d), std), "pos_emb": ((config.max_seq_len, d), std),
+        "w_q": ((d, d), std), "w_k": ((d, d), std), "w_v": ((d, d), std), "w_o": ((d, d), std),
+        "w_s": ((d, d), config.sigma_init),
+        "ffn_w1": ((d, dff), std), "ffn_b1": ((1, dff), nc.zeros),
+        "ffn_w2": ((dff, d), std), "ffn_b2": ((1, d), nc.zeros),
+        "ln1_gain": ((1, d), nc.ones), "ln1_bias": ((1, d), nc.zeros),
+        "ln2_gain": ((1, d), nc.ones), "ln2_bias": ((1, d), nc.zeros),
+        "final_gain": ((1, d), nc.ones), "final_bias": ((1, d), nc.zeros),
+        "unembed": ((d, v), std),
+    }
+
+
 def param_count(config: ModelConfig) -> int:
     """Closed-form parameter census; must equal Params.count()."""
     d, v, dff = config.d_model, config.vocab_size, config.d_ff
@@ -152,41 +182,17 @@ def param_count(config: ModelConfig) -> int:
 
 def init_params(config: ModelConfig, rng: Rng, dtype=np.float32) -> Params:
     """Fresh parameters: gate matrices N(0, sigma_init^2), other matrices
-    N(0, 0.02^2), biases zero, layer-norm gains one. Deterministic per seed."""
-    d, dff = config.d_model, config.d_ff
+    N(0, 0.02^2), biases zero, layer-norm gains one. Deterministic per seed:
+    the draws run in checkpoint order."""
+    table = _table(config)
 
-    def mat(rows, cols, sigma=INIT_STD):
-        return nc.randn(rows, cols, sigma, rng, dtype=dtype)
+    def make(shape, init):
+        if callable(init):
+            return init(*shape, dtype=dtype)
+        return nc.randn(*shape, init, rng, dtype=dtype)
 
-    layers = []
-    tok_emb = mat(config.vocab_size, d)
-    pos_emb = mat(config.max_seq_len, d)
-    for _ in range(config.n_layers):
-        layers.append(
-            LayerParams(
-                w_q=mat(d, d),
-                w_k=mat(d, d),
-                w_v=mat(d, d),
-                w_o=mat(d, d),
-                w_s=mat(d, d, sigma=config.sigma_init),
-                ffn_w1=mat(d, dff),
-                ffn_b1=nc.zeros(1, dff, dtype=dtype),
-                ffn_w2=mat(dff, d),
-                ffn_b2=nc.zeros(1, d, dtype=dtype),
-                ln1_gain=nc.ones(1, d, dtype=dtype),
-                ln1_bias=nc.zeros(1, d, dtype=dtype),
-                ln2_gain=nc.ones(1, d, dtype=dtype),
-                ln2_bias=nc.zeros(1, d, dtype=dtype),
-            )
-        )
-    return Params(
-        config=config,
-        tok_emb=tok_emb,
-        pos_emb=pos_emb,
-        layers=layers,
-        final_gain=nc.ones(1, d, dtype=dtype),
-        final_bias=nc.zeros(1, d, dtype=dtype),
-        unembed=mat(d, config.vocab_size),
+    return Params.from_named(
+        config, {name: make(*table[fname]) for name, _, fname in _slots(config.n_layers)}
     )
 
 
@@ -327,7 +333,7 @@ def _forward_body(params, tokens, mode, positions, want_trace, graph):
     trace = ActivationTrace() if want_trace else None
     last = params.layers[-1]
     for layer in params.layers:
-        h = nc.layer_norm(x, layer.ln1_gain, layer.ln1_bias, eps=LN_EPS, graph=graph)
+        h = nc.layer_norm(x, layer.ln1_gain, layer.ln1_bias, graph)
         core = _attention(h, layer, params.config.n_heads, n_seqs, graph)
         if positions is not None and layer is last:
             # keys and values have covered every position; every op from
@@ -340,10 +346,10 @@ def _forward_body(params, tokens, mode, positions, want_trace, graph):
         if trace is not None:
             trace.layers.append(LayerTrace(a=a, r=r, o=o))
         x = nc.add(x, o, graph)
-        h2 = nc.layer_norm(x, layer.ln2_gain, layer.ln2_bias, eps=LN_EPS, graph=graph)
+        h2 = nc.layer_norm(x, layer.ln2_gain, layer.ln2_bias, graph)
         f = nc.gelu(nc.add_row(nc.matmul(h2, layer.ffn_w1, graph), layer.ffn_b1, graph), graph)
         x = nc.add(x, nc.add_row(nc.matmul(f, layer.ffn_w2, graph), layer.ffn_b2, graph), graph)
-    h = nc.layer_norm(x, params.final_gain, params.final_bias, eps=LN_EPS, graph=graph)
+    h = nc.layer_norm(x, params.final_gain, params.final_bias, graph)
     logits = nc.matmul(h, params.unembed, graph)
     return logits, trace
 

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 MASK_NEG = -1e9  # additive score mask; exp(MASK_NEG - rowmax) underflows to exactly 0.0
+LN_EPS = 1e-5  # layer_norm's variance floor
 
 
 class DimensionError(ValueError):
@@ -372,7 +373,6 @@ def layer_norm(
     x: Tensor2,
     gain: Tensor2,
     bias: Tensor2,
-    eps: float = 1e-5,
     graph: GradGraph | None = None,
 ) -> Tensor2:
     """Per-row normalization to zero mean / unit variance, then affine gain+bias."""
@@ -385,7 +385,7 @@ def layer_norm(
     xhat = x.data - mean
     sq = xhat * xhat
     var = _row_mean(sq)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv
     gd = gain.data
     out_data = np.multiply(xhat, gd, out=sq)

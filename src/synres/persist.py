@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import Batch, TaskSpec, VocabLayout
-from .model import GateMode, LayerParams, ModelConfig, Params
+from .model import GateMode, ModelConfig, Params
 from .numcore import Tensor2
 from .train import TrainConfig
 
@@ -152,7 +152,6 @@ def _read_container(path):
 @dataclass
 class Checkpoint:
     params: Params
-    model_config: ModelConfig
     train_config: TrainConfig
     seed: int
     epoch: int
@@ -163,8 +162,7 @@ def save_checkpoint(path, params: Params, train_config: TrainConfig, seed: int, 
     header += _header_lines("model", params.config)
     header += _header_lines("train", train_config)
     header += [f"seed {seed}", f"epoch {epoch}"]
-    tensors = [(name, np.ascontiguousarray(t.data)) for name, t in params.named_tensors()]
-    _write_container(path, header, tensors)
+    _write_container(path, header, [(name, t.data) for name, t in params.named_tensors()])
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -179,32 +177,13 @@ def load_checkpoint(path) -> Checkpoint:
     except KeyError as err:
         raise CheckpointError(f"missing header entry {err.args[0]}") from err
 
-    def take(name) -> Tensor2:
-        if name not in arrays:
-            raise CheckpointError(f"tensor {name}: missing from manifest")
-        return Tensor2(arrays[name])
-
-    layers = []
-    for i in range(model_config.n_layers):
-        fields = {f: take(f"layer{i}.{f}") for f in LayerParams.__dataclass_fields__}
-        layers.append(LayerParams(**fields))
-    params = Params(
-        config=model_config,
-        tok_emb=take("tok_emb"),
-        pos_emb=take("pos_emb"),
-        layers=layers,
-        final_gain=take("final_gain"),
-        final_bias=take("final_bias"),
-        unembed=take("unembed"),
-    )
-    expected = {name for name, _ in params.named_tensors()}
-    extra = set(arrays) - expected
-    if extra:
-        raise CheckpointError(f"unexpected tensors in manifest: {sorted(extra)}")
-    return Checkpoint(
-        params=params, model_config=model_config, train_config=train_config,
-        seed=seed, epoch=epoch,
-    )
+    try:
+        params = Params.from_named(
+            model_config, {name: Tensor2(arr) for name, arr in arrays.items()}
+        )
+    except ValueError as err:
+        raise CheckpointError(f"{path}: {err}") from err
+    return Checkpoint(params=params, train_config=train_config, seed=seed, epoch=epoch)
 
 
 def save_dataset(path, batch: Batch, spec: TaskSpec, layout: VocabLayout):

@@ -250,7 +250,7 @@ def run_training(
     digest = hashlib.sha256()
     for epoch in range(config.epochs):
         started = time.perf_counter()
-        stream = _digested(batches(train_ds, config.batch_size, rng.split(), shuffle=True), digest)
+        stream = _digested(batches(train_ds, config.batch_size, rng.split()), digest)
         try:
             stats = train_epoch(params, stream, config, lr)
         except NumericError as err:

@@ -231,7 +231,7 @@ def test_criterion_02_formula_fidelity():
 
     rng = nc.Rng(60)
     for _ in range(3):
-        train_epoch(params, batches(train_ds, 16, rng.split(), shuffle=True), tc,
+        train_epoch(params, batches(train_ds, 16, rng.split()), tc,
                     lr=tc.lr, on_step=on_step)
     assert len(steps) == 12
     assert max(steps) < 1e-5, f"loss decomposition rel error {max(steps)}"

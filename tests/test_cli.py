@@ -3,15 +3,16 @@
 import platform
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from synres.cli import main
 from synres.evalsuite import noise_robustness, perplexity, retention_probe
-from synres.model import GateMode, ModelConfig, count_flops
-from synres.numcore import Rng
-from synres.persist import load_checkpoint, load_dataset
+from synres.model import GateMode, ModelConfig, count_flops, init_params
+from synres.numcore import Rng, randn
+from synres.persist import load_checkpoint, load_dataset, load_config, save_checkpoint
 
 SMALL_CONFIG = """\
 [model]
@@ -87,7 +88,7 @@ def test_train_overrides(config_path, tmp_path):
     assert rc == 0
     ckpt = load_checkpoint(out / "last.ckpt")
     assert ckpt.seed == 99
-    assert ckpt.model_config.gate_mode == GateMode.DISABLED
+    assert ckpt.params.config.gate_mode == GateMode.DISABLED
     assert "gate_mode = disabled" in (out / "config.txt").read_text()
 
 
@@ -119,6 +120,23 @@ def test_eval_truncated_checkpoint_exit5(trained, tmp_path, capsys):
                "--vocab-size", "32", "--samples", "8"])
     assert rc == 5
     assert "corrupt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,shape,expected", [
+    ("unembed", (16, 38), (16, 32)),
+    ("pos_emb", (10, 16), (16, 16)),
+])
+def test_eval_mis_shaped_tensor_exit5_names_it(config_path, tmp_path, capsys, name, shape, expected):
+    spec = load_config(config_path)
+    params = init_params(spec.model, Rng(0))
+    bad = replace(params, **{name: randn(*shape, 0.02, Rng(1))})
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, bad, spec.train, seed=0, epoch=0)
+    rc = main(["eval", str(path), "--task", "copy", "--seq-len", "10",
+               "--vocab-size", "32", "--samples", "8"])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert f"corrupt checkpoint: {path}: tensor {name}: shape {shape}, expected {expected}" in err
 
 
 def test_eval_noise_levels_flag(trained, tmp_path):

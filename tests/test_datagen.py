@@ -287,8 +287,8 @@ def test_batches_order_preserved_without_shuffle():
 def test_batches_shuffle_deterministic():
     spec = TaskSpec(kind="copy", seq_len=6, samples=30, seed=3)
     ds = gen_copy(spec, LAYOUT64, Rng(3))
-    a = np.concatenate([b.tokens for b in batches(ds, 4, Rng(77), shuffle=True)])
-    b = np.concatenate([b.tokens for b in batches(ds, 4, Rng(77), shuffle=True)])
+    a = np.concatenate([b.tokens for b in batches(ds, 4, Rng(77))])
+    b = np.concatenate([b.tokens for b in batches(ds, 4, Rng(77))])
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, ds.tokens)
 

@@ -267,7 +267,7 @@ def test_coherence_deterministic():
 
 def test_latency_rows_and_flops_column():
     params = untrained_model(vocab=32, d=16, ctx=64)
-    curve = latency_bench(params, seq_lens=(8, 16), repetitions=20, warmups=3)
+    curve = latency_bench(params, seq_lens=(8, 16), repetitions=20)
     assert [r.seq_len for r in curve.rows] == [8, 16]
     for row in curve.rows:
         assert row.flops == count_flops(params.config, row.seq_len, curve.gate_mode).total

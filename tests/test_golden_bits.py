@@ -1,8 +1,8 @@
 """Same seeds, same bits: sha256 digests pinned in tests/golden_bits.json.
 
-Initial parameters and a gen-data artifact depend only on numpy's Philox
-streams, and a run's config.txt only on its config, so their digests are
-always asserted. Logits, checkpoints, metrics and eval.csv also depend on
+Initial parameters, a gen-data artifact and a training run's batch stream
+depend only on numpy's Philox streams, and a run's config.txt only on its
+config, so their digests are always asserted. Logits, checkpoints, metrics and eval.csv also depend on
 the BLAS kernels and numpy's SIMD loops, so they are pinned per fingerprint
 (numpy, BLAS, CPU features, dtype); each gate mode's logits have their own
 digest, so a diff of the json shows which modes moved. On a fingerprint
@@ -25,19 +25,24 @@ import platform
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from synres import model
 from synres.cli import main
+from synres.datagen import build_task_data, layout_for
 from synres.model import GateMode, ModelConfig, forward, init_params
 from synres.numcore import Rng
+from synres.persist import load_config
+from synres.train import run_training
 
 GOLDEN = Path(__file__).with_name("golden_bits.json")
 EVAL_SAMPLES = 64
 COPY_EVAL_SAMPLES = 96
-ALWAYS = ("init_params", "gen_data_kv_recall", "learned.config.txt", "disabled.config.txt")
+ALWAYS = ("init_params", "gen_data_kv_recall", "learned.config.txt", "disabled.config.txt",
+          "stream_digest")
 
 README_MODEL = ModelConfig(
     vocab_size=64, d_model=64, n_heads=4, n_layers=2, d_ff=256, max_seq_len=40
@@ -116,6 +121,15 @@ def digests(work: Path) -> dict[str, str]:
 
     config = work / "run.cfg"
     config.write_text(SHORT_README_RUN)
+    # the ablation pairs its arms on this: both gate modes consume one stream
+    spec = load_config(config)
+    data = build_task_data(spec.task, layout_for(spec.task, spec.model.vocab_size))
+    streams = {
+        run_training(replace(spec.model, gate_mode=mode), spec.train, data).stream_digest
+        for mode in (GateMode.LEARNED, GateMode.DISABLED)
+    }
+    assert len(streams) == 1
+    (got["stream_digest"],) = streams
     for mode in ("learned", "disabled"):
         out = work / mode
         assert main(["train", str(config), "--out", str(out), "--gate-mode", mode]) == 0

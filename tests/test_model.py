@@ -1,6 +1,8 @@
 """Model composition: init census, gate semantics, causality, gradient flow."""
 
+import hashlib
 from collections import Counter
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from synres import model
 from synres import numcore as nc
 from synres.model import (
     GateMode,
+    LayerParams,
     ModelConfig,
+    Params,
     _forward_body,
     count_flops,
     forward,
@@ -78,6 +82,66 @@ def test_init_biases_and_gains():
         np.testing.assert_array_equal(layer.ln1_bias.data, np.zeros((1, 8)))
         np.testing.assert_array_equal(layer.ffn_b1.data, np.zeros((1, 16)))
     np.testing.assert_array_equal(params.final_gain.data, np.ones((1, 8)))
+
+
+# --------------------------------------------------------------------------
+# parameter manifest
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_manifest_names_follow_the_dataclass_fields(n_layers):
+    cfg = replace(TINY, n_layers=n_layers)
+    named = list(init_params(cfg, nc.Rng(0)).named_tensors())
+    layer_fields = [f.name for f in fields(LayerParams)]
+    per_layer = [f"layer{i}.{f}" for i in range(n_layers) for f in layer_fields]
+    expected = ["tok_emb", "pos_emb", *per_layer, "final_gain", "final_bias", "unembed"]
+    assert [name for name, _ in named] == expected
+    table = model._table(cfg)
+    slots = list(model._slots(n_layers))
+    assert [name for name, _, _ in slots] == expected
+    assert {fname for _, _, fname in slots} == set(table)
+    assert [table[fname][0] for _, _, fname in slots] == [t.shape for _, t in named]
+
+
+def test_from_named_round_trips_and_rejects_a_bad_map():
+    params = tiny_params(seed=3)
+    named = dict(params.named_tensors())
+    rebuilt = Params.from_named(TINY, named)
+    assert [(n, t) for n, t in rebuilt.named_tensors()] == list(named.items())
+    missing = {n: t for n, t in named.items() if n != "layer1.w_s"}
+    with pytest.raises(ValueError, match=r"tensor layer1\.w_s: missing"):
+        Params.from_named(TINY, missing)
+    with pytest.raises(ValueError, match=r"tensor layer2\.w_q: not a parameter"):
+        Params.from_named(TINY, {**named, "layer2.w_q": named["layer0.w_q"]})
+    with pytest.raises(ValueError, match=r"tensor layer0\.ffn_b1: shape \(1, 15\), expected \(1, 16\)"):
+        Params.from_named(TINY, {**named, "layer0.ffn_b1": nc.zeros(1, 15)})
+
+
+# sha256 over (name, bytes) of every tensor, recorded before init_params was
+# rebuilt on the manifest: (dtype, sigma_init, n_layers) -> digest
+INIT_DIGESTS = {
+    ("float32", 0.0, 1): "974799beb666cf42ac3bc37884f9ab99451bdbf4444dda14b57ff2503381dc15",
+    ("float32", 0.0, 3): "1fac6250cc3848568bee4e80bf59ab833283281637fee45b39b9e133c59289bb",
+    ("float32", 0.02, 1): "41d3c66b5492b8801984782b5bef9f5b5b67a6a8c3d46f560d8a7f79df6e5216",
+    ("float32", 0.02, 3): "cd32b51d4463182ebe95326b57eea5491036c39ee1f1b920330229d229dd7ea3",
+    ("float64", 0.0, 1): "ddb5d8f6c7d0af7131404c55b0ebafb66f84e514efba7ae2a9cc57fd8948cb43",
+    ("float64", 0.0, 3): "3c06d562dc4068a85b4b2fc8d6ffe45e3d8ea2315595b7101ec5c247be745627",
+    ("float64", 0.02, 1): "5ed39c131bb50d2ee7b24995719df7dae72768c3a084b10cebece656d8722205",
+    ("float64", 0.02, 3): "798d59b39855c4ba30e4ae8b75267aa3dc839766d08b2066edcd6d6b3d701b7d",
+}
+
+
+@pytest.mark.parametrize("key", sorted(INIT_DIGESTS))
+def test_init_params_bits_pinned(key):
+    dtype, sigma_init, n_layers = key
+    cfg = ModelConfig(vocab_size=64, d_model=64, n_heads=4, n_layers=n_layers, d_ff=256,
+                      max_seq_len=34, sigma_init=sigma_init)
+    digest = hashlib.sha256()
+    for name, t in init_params(cfg, nc.Rng(1234), dtype=np.dtype(dtype)).named_tensors():
+        digest.update(name.encode())
+        digest.update(t.data.tobytes())
+    assert digest.hexdigest() == INIT_DIGESTS[key]
 
 
 # --------------------------------------------------------------------------

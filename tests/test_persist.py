@@ -39,7 +39,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path, seed, dtype):
     save_checkpoint(path, params, TCFG, seed=3, epoch=1)
     ckpt = load_checkpoint(path)
     assert ckpt.seed == 3 and ckpt.epoch == 1
-    assert ckpt.model_config == CFG
+    assert ckpt.params.config == CFG
     assert ckpt.train_config == TCFG
     for (na, ta), (nb, tb) in zip(params.named_tensors(), ckpt.params.named_tensors()):
         assert na == nb and ta.dtype == tb.dtype

@@ -224,7 +224,7 @@ def test_epoch_copy_task_beats_uniform():
     ds = gen_copy(spec, layout, nc.Rng(1))
     tc = TrainConfig(epochs=1, batch_size=32, lr=1.0, grad_clip=1.0, seed=0)
     params = init_params(cfg, nc.Rng(0))
-    stats = train_epoch(params, batches(ds, 32, nc.Rng(2), shuffle=True), tc, lr=1.0)
+    stats = train_epoch(params, batches(ds, 32, nc.Rng(2)), tc, lr=1.0)
     assert stats.mean_ce < np.log(64)
 
 
