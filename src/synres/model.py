@@ -104,8 +104,8 @@ class Params:
     @classmethod
     def from_named(cls, config: ModelConfig, tensors: dict[str, Tensor2]) -> "Params":
         """Params from a name -> tensor map holding exactly the tensors that
-        config needs; ValueError names the first missing, extra or mis-shaped
-        tensor."""
+        config needs, all of tok_emb's dtype; ValueError names the first
+        missing, extra, mis-shaped or mis-typed tensor."""
         table, slots = _table(config), list(_slots(config.n_layers))
         extra = sorted(set(tensors).difference(name for name, _, _ in slots))
         if extra:
@@ -117,6 +117,8 @@ class Params:
             t, shape = tensors[name], table[fname][0]
             if t.shape != shape:
                 raise ValueError(f"tensor {name}: shape {t.shape}, expected {shape}")
+            if t.dtype != tensors["tok_emb"].dtype:  # tok_emb, the first slot, is present
+                raise ValueError(f"tensor {name}: dtype {t.dtype}, expected {tensors['tok_emb'].dtype}")
             (top if i is None else layers[i])[fname] = t
         return cls(config=config, layers=[LayerParams(**lp) for lp in layers], **top)
 
@@ -222,14 +224,16 @@ class ActivationTrace:
                 raise AssertionError(f"layer {i}: o != a * r beyond {atol}")
 
 
-def _attention(x, layer, n_heads, n_seqs, graph):
+def _attention(x, layer, n_heads, n_seqs, graph, queries=None, rows=None):
     """Causal multi-head self-attention: per head, softmax of the masked
     q k^T / sqrt(d/n_heads) applied to v; heads concatenated. The caller
-    projects the result by w_o into the output a that feeds the gate."""
-    q = nc.matmul(x, layer.w_q, graph)
+    projects the result by w_o into the output a that feeds the gate.
+    With queries, only the rows of x at those positions of each sequence
+    (rows, flat) ask; keys and values still cover every position."""
+    q = nc.matmul(x if rows is None else nc.gather_rows(x, rows, graph), layer.w_q, graph)
     k = nc.matmul(x, layer.w_k, graph)
     v = nc.matmul(x, layer.w_v, graph)
-    return nc.multihead_attention(q, k, v, n_heads, n_seqs=n_seqs, graph=graph)
+    return nc.multihead_attention(q, k, v, n_heads, n_seqs=n_seqs, graph=graph, queries=queries)
 
 
 def resonance_gate(
@@ -274,14 +278,14 @@ def _forward_impl(params, tokens, mode, graph, want_trace, positions=None):
     if tokens.shape[0] > 1 and graph is None and not want_trace:
         bounds = _block_bounds(cfg, tokens.shape[0], n, params.dtype.itemsize)
     if len(bounds) == 2:
-        return _run_block(params, tokens, mode, positions, want_trace, graph)
+        return nc.run_deferred(_forward_body, graph, params, tokens, mode, positions, want_trace)
     # every op is local to a row or a sequence, so each block's logits are
     # bitwise those rows of the one-block forward wherever the BLAS rounds a
     # matmul row the same for any row count (README, Memory and speed)
     rows = n if positions is None else positions.size
     logits = np.empty((tokens.shape[0] * rows, cfg.vocab_size), dtype=params.dtype)
     for lo, hi in zip(bounds, bounds[1:]):
-        block, _ = _run_block(params, tokens[lo:hi], mode, positions, False, None)
+        block, _ = nc.run_deferred(_forward_body, None, params, tokens[lo:hi], mode, positions, False)
         logits[lo * rows : hi * rows] = block.data
     return Tensor2(logits), None
 
@@ -298,16 +302,6 @@ def _check_positions(positions, n):
     return None if p.size == n else p
 
 
-def _run_block(params, tokens, mode, positions, want_trace, graph):
-    """One deferred-check forward. A selection of a single row runs every
-    position and takes that row's logits: numpy hands a 1-row matmul to
-    BLAS's gemv, whose bits differ from gemm's."""
-    if positions is not None and tokens.shape[0] * positions.size == 1:
-        logits, trace = nc.run_deferred(_forward_body, graph, params, tokens, mode, None, want_trace)
-        return nc.gather_rows(logits, positions, graph), trace
-    return nc.run_deferred(_forward_body, graph, params, tokens, mode, positions, want_trace)
-
-
 def _block_bounds(cfg, n_seqs, n, itemsize):
     """Sequence bounds of near-equal blocks, each within BLOCK_BUDGET if a
     sequence fits. A 1-row matmul takes BLAS's gemv, whose bits differ from
@@ -321,9 +315,17 @@ def _block_bounds(cfg, n_seqs, n, itemsize):
 
 def _forward_body(params, tokens, mode, positions, want_trace, graph):
     """The forward on validated [B x n] tokens; every op checks unless deferred.
-    With positions, the last layer keeps only those rows of each sequence
-    once attention has read every position, and its logits are [(B*P) x V]."""
+    With positions, the last layer's queries, and everything after its
+    attention, run on those rows of each sequence alone, while its keys and
+    values cover every position; the logits are [(B*P) x V]."""
     n_seqs, n = tokens.shape
+    keep = positions
+    if positions is not None and positions.size == 1:
+        # one query row per sequence would make 1-row score and p @ v
+        # matmuls, which numpy hands to gemv, whose bits differ from gemm's;
+        # a neighbour row rides along to the logits
+        keep = positions + np.array([-1, 0] if positions[0] else [0, 1])
+    rows = None if keep is None else (np.arange(n_seqs)[:, None] * n + keep).reshape(-1)
     # the n position rows are gathered once and added to every sequence
     x = nc.add_row(
         nc.gather_rows(params.tok_emb, tokens.reshape(-1), graph),
@@ -334,13 +336,12 @@ def _forward_body(params, tokens, mode, positions, want_trace, graph):
     last = params.layers[-1]
     for layer in params.layers:
         h = nc.layer_norm(x, layer.ln1_gain, layer.ln1_bias, graph)
-        core = _attention(h, layer, params.config.n_heads, n_seqs, graph)
-        if positions is not None and layer is last:
-            # keys and values have covered every position; every op from
-            # here on is local to a row
-            rows = (np.arange(n_seqs)[:, None] * n + positions).reshape(-1)
-            core = nc.gather_rows(core, rows, graph)
+        if rows is not None and layer is last:
+            core = _attention(h, layer, params.config.n_heads, n_seqs, graph, keep, rows)
+            # every op from here on is local to a row
             x = nc.gather_rows(x, rows, graph)
+        else:
+            core = _attention(h, layer, params.config.n_heads, n_seqs, graph)
         a = nc.matmul(core, layer.w_o, graph)
         r, o = resonance_gate(a, layer.w_s, mode, graph)
         if trace is not None:
@@ -351,6 +352,8 @@ def _forward_body(params, tokens, mode, positions, want_trace, graph):
         x = nc.add(x, nc.add_row(nc.matmul(f, layer.ffn_w2, graph), layer.ffn_b2, graph), graph)
     h = nc.layer_norm(x, params.final_gain, params.final_bias, graph)
     logits = nc.matmul(h, params.unembed, graph)
+    if keep is not positions:
+        logits = nc.gather_rows(logits, 2 * np.arange(n_seqs) + int(positions[0] > 0), graph)
     return logits, trace
 
 
@@ -382,8 +385,10 @@ def forward_batch(
     the P positions whose logits the caller reads; the result is then
     [(B*P) x V], row b*P + j holding sequence b at positions[j], bitwise
     those rows of the full forward. Every layer but the last runs on every
-    position, and the last runs its attention on every position too; from
-    its output projection to the unembedding, only the B*P rows run."""
+    position, and the last projects its keys and values at every position;
+    its queries, scores and softmax, and everything from its output
+    projection to the unembedding, run on the B*P rows alone (with one
+    position, on it and a neighbour, whose logits are dropped)."""
     logits, _ = _forward_impl(params, tokens, None, graph, False, positions)
     return logits
 

@@ -487,41 +487,55 @@ def multihead_attention(
     causal: bool = True,
     graph: GradGraph | None = None,
     want_probs: bool = False,
+    *,
+    queries: np.ndarray | None = None,
 ):
     """Fused scaled-dot-product attention over n_seqs stacked sequences.
 
-    q, k, v are [(n_seqs*n) x d]; each sequence block attends within itself,
+    k and v are [(n_seqs*n) x d]; each sequence block attends within itself,
     per head, with scores scaled by 1/sqrt(d/n_heads). Causal masking zeroes
     the weight on future positions exactly (additive -1e9 before softmax,
     then a hard zero on the strict upper triangle), so earlier rows are
     bitwise independent of later tokens. Hand-written vjp, covered by the
     finite-difference checks.
 
-    Returns the [(n_seqs*n) x d] head-concatenated output, plus the
-    attention probabilities [n_seqs, n_heads, n, n] when want_probs is set.
+    queries, sorted positions within [0, n), names the P query rows of each
+    sequence that q holds, so q is [(n_seqs*P) x d] and only those rows of
+    the scores and softmax are computed, each as in the full attention;
+    None means every position, with q shaped as k.
+
+    Returns the [(n_seqs*P) x d] head-concatenated output, plus the
+    attention probabilities [n_seqs, n_heads, P, n] when want_probs is set.
     """
-    if q.shape != k.shape or q.shape != v.shape:
+    if k.shape != v.shape or q.cols != k.cols:
         raise DimensionError("multihead_attention: q/k/v shapes differ")
-    total, d = q.shape
+    total, d = k.shape
     if d % n_heads != 0:
         raise DimensionError(f"multihead_attention: d={d} not divisible by {n_heads} heads")
     if total % n_seqs != 0:
         raise DimensionError(f"multihead_attention: {total} rows not divisible by {n_seqs} seqs")
+    n = total // n_seqs
+    rows = n if queries is None else len(queries)
+    if q.rows != n_seqs * rows:
+        raise DimensionError(
+            f"multihead_attention: q has {q.rows} rows, expected {n_seqs} seqs x {rows} queries"
+        )
     if _deferred.get():  # the softmax drops a -inf score, so a bad key cannot wait
         _check_finite(k.data, "multihead_attention key")
-    n = total // n_seqs
     dh = d // n_heads
     inv = 1.0 / math.sqrt(dh)
 
-    def split_heads(t):  # [(S*n) x d] -> [S, h, n, dh]
-        return t.data.reshape(n_seqs, n, n_heads, dh).transpose(0, 2, 1, 3)
+    def split_heads(t):  # [(S*m) x d] -> [S, h, m, dh]
+        return t.reshape(n_seqs, -1, n_heads, dh).transpose(0, 2, 1, 3)
 
-    q4, k4, v4 = split_heads(q), split_heads(k), split_heads(v)
+    q4, k4, v4 = split_heads(q.data), split_heads(k.data), split_heads(v.data)
     # the softmax runs in place on one score buffer, which becomes p
     p = q4 @ k4.transpose(0, 1, 3, 2)
     p *= inv
     if causal:
         tril, neg = _causal_mask(n, q.dtype)
+        if queries is not None:
+            tril, neg = tril[queries], neg[queries]
         p += neg
     p -= p.max(axis=3, keepdims=True)
     np.exp(p, out=p)
@@ -529,11 +543,11 @@ def multihead_attention(
         p *= tril
     p /= p.sum(axis=3, keepdims=True)
 
-    def merge(t4):  # [S, h, n, dh] -> [(S*n) x d]
-        return np.ascontiguousarray(t4.transpose(0, 2, 1, 3).reshape(total, d))
+    def merge(t4):  # [S, h, m, dh] -> [(S*m) x d]
+        return np.ascontiguousarray(t4.transpose(0, 2, 1, 3).reshape(-1, d))
 
     def vjp(g):
-        g4 = g.reshape(n_seqs, n, n_heads, dh).transpose(0, 2, 1, 3)
+        g4 = split_heads(g)
         ds = g4 @ v4.transpose(0, 1, 3, 2)  # dp, turned into ds in place
         dv4 = p.transpose(0, 1, 3, 2) @ g4
         ds -= (p * ds).sum(axis=3, keepdims=True)

@@ -177,6 +177,9 @@ def load_checkpoint(path) -> Checkpoint:
     except KeyError as err:
         raise CheckpointError(f"missing header entry {err.args[0]}") from err
 
+    for name, arr in arrays.items():
+        if arr.dtype not in (np.float32, np.float64):
+            raise CheckpointError(f"{path}: tensor {name}: dtype {arr.dtype}, expected a float dtype")
     try:
         params = Params.from_named(
             model_config, {name: Tensor2(arr) for name, arr in arrays.items()}

@@ -99,9 +99,10 @@ def test_traced_blocked_eval_chunk_is_one_span_counting_every_sequence(monkeypat
     params = init_params(CFG, Rng(6))
     tokens = Rng(7).integers(0, CFG.vocab_size, size=(5, 6))
     monkeypatch.setattr(model, "BLOCK_BUDGET", 1)
-    # per block: token and position rows, then the last layer's two row
-    # gathers, or one gather of the logits where a block selects one row
-    for positions, gathers in ((None, 2), ([2, 5], 4), ([5], 3)):
+    # per block: token and position rows, then the last layer's query and
+    # residual row gathers, and with one position a gather of the logits
+    # that drops the neighbour row carried along with it
+    for positions, gathers in ((None, 2), ([2, 5], 4), ([5], 5)):
         spans = tracer.Tracer()
         spans.install()
         try:

@@ -11,7 +11,7 @@ import pytest
 from synres.cli import main
 from synres.evalsuite import noise_robustness, perplexity, retention_probe
 from synres.model import GateMode, ModelConfig, count_flops, init_params
-from synres.numcore import Rng, randn
+from synres.numcore import Rng, Tensor2, randn
 from synres.persist import load_checkpoint, load_dataset, load_config, save_checkpoint
 
 SMALL_CONFIG = """\
@@ -137,6 +137,37 @@ def test_eval_mis_shaped_tensor_exit5_names_it(config_path, tmp_path, capsys, na
     assert rc == 5
     err = capsys.readouterr().err
     assert f"corrupt checkpoint: {path}: tensor {name}: shape {shape}, expected {expected}" in err
+
+
+def test_eval_mis_typed_tensor_exit5_names_it(config_path, tmp_path, capsys):
+    # an f8 unembed among f4 tensors would run a mixed-precision forward
+    spec = load_config(config_path)
+    params = init_params(spec.model, Rng(0))
+    bad = replace(params, unembed=Tensor2(params.unembed.data.astype(np.float64)))
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, bad, spec.train, seed=0, epoch=0)
+    rc = main(["eval", str(path), "--task", "copy", "--seq-len", "10",
+               "--vocab-size", "32", "--samples", "8"])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert f"corrupt checkpoint: {path}: tensor unembed: dtype float64, expected float32" in err
+
+
+def test_eval_non_float_tensor_exit5_names_it(config_path, tmp_path, capsys):
+    # an f8 tensor relabelled i8 in the manifest keeps its byte count
+    spec = load_config(config_path)
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, init_params(spec.model, Rng(0), dtype=np.float64), spec.train,
+                    seed=0, epoch=0)
+    blob = path.read_bytes()
+    line = b"tensor layer0.w_v 16 16 f8 "
+    assert blob.count(line) == 1
+    path.write_bytes(blob.replace(line, line.replace(b"f8", b"i8")))
+    rc = main(["eval", str(path), "--task", "copy", "--seq-len", "10",
+               "--vocab-size", "32", "--samples", "8"])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert f"corrupt checkpoint: {path}: tensor layer0.w_v: dtype int64, expected a float dtype" in err
 
 
 def test_eval_noise_levels_flag(trained, tmp_path):

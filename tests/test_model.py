@@ -116,6 +116,9 @@ def test_from_named_round_trips_and_rejects_a_bad_map():
         Params.from_named(TINY, {**named, "layer2.w_q": named["layer0.w_q"]})
     with pytest.raises(ValueError, match=r"tensor layer0\.ffn_b1: shape \(1, 15\), expected \(1, 16\)"):
         Params.from_named(TINY, {**named, "layer0.ffn_b1": nc.zeros(1, 15)})
+    wide = nc.Tensor2(named["unembed"].data.astype(np.float64))
+    with pytest.raises(ValueError, match=r"tensor unembed: dtype float64, expected float32"):
+        Params.from_named(TINY, {**named, "unembed": wide})
 
 
 # sha256 over (name, bytes) of every tensor, recorded before init_params was
@@ -526,6 +529,46 @@ def test_positions_limited_logits_are_the_full_forwards_rows(monkeypatch, dtype)
             assert got.tobytes() == want.tobytes(), (mode, n_seqs, n, positions, "graph")
 
 
+# The README model at other head widths (d_model = 4 heads x width): the
+# largest max abs difference the positions path may show against the full
+# forward's rows, as a fraction of the logits' max abs value, per dtype; 0 is
+# bitwise. This OpenBLAS rounds the last layer's small batched score matmul
+# by its row count from head width 32 on, in both dtypes, and p @ v at width
+# 6 in float32; the other widths are bitwise, and a change there must fail.
+HEAD_WIDTH_TOLERANCE = {
+    6: {np.float32: 1e-6, np.float64: 0.0},
+    8: {np.float32: 0.0, np.float64: 0.0},
+    12: {np.float32: 0.0, np.float64: 0.0},
+    16: {np.float32: 0.0, np.float64: 0.0},
+    24: {np.float32: 0.0, np.float64: 0.0},
+    32: {np.float32: 1e-6, np.float64: 1e-14},
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("head_width", sorted(HEAD_WIDTH_TOLERANCE))
+def test_positions_limited_logits_across_head_widths(head_width, dtype):
+    # against the same batch's forward without positions, which runs in the
+    # same blocks, so only the positions path's row counts differ
+    tol = HEAD_WIDTH_TOLERANCE[head_width][dtype]
+    cfg = replace(README_MODEL, d_model=4 * head_width)
+    base = init_params(cfg, nc.Rng(70), dtype=dtype)
+    for mode in GateMode:
+        p = base.with_gate_mode(mode)
+        for n_seqs in (1, 2, 7, 64):
+            tokens = nc.Rng(n_seqs).integers(0, cfg.vocab_size, size=(n_seqs, 40))
+            full = forward_batch(p, tokens).data.reshape(n_seqs, 40, -1)
+            for positions in ([0], [39], [38, 39], [0, 17, 39], range(24, 40)):
+                positions = np.array(positions)
+                got = forward_batch(p, tokens, positions=positions).data
+                want = full[:, positions].reshape(got.shape)
+                case = (mode, n_seqs, positions.tolist())
+                if tol == 0.0:
+                    assert got.tobytes() == want.tobytes(), case
+                else:
+                    assert np.abs(got - want).max() <= tol * np.abs(full).max(), case
+
+
 def test_positions_limited_forward_runs_the_last_layer_on_the_selected_rows():
     params = tiny_params(seed=61)
     tokens = nc.Rng(62).integers(0, TINY.vocab_size, size=(4, 8))
@@ -533,17 +576,26 @@ def test_positions_limited_forward_runs_the_last_layer_on_the_selected_rows():
     forward_batch(params, tokens, graph=full)
     forward_batch(params, tokens, graph=limited, positions=[2, 5, 7])
     ops = [(vjp.__qualname__.split(".")[0], out.rows) for out, _, vjp in limited._records]
-    # the last layer gathers 4 x 3 rows of its attention core and of the
-    # residual stream; everything after runs on those rows alone
+    # the last layer gathers 4 x 3 rows of its normed input for the queries,
+    # projects keys and values at all 4 x 8 rows, attends from the 12 query
+    # rows and gathers the same rows of the residual stream; everything
+    # after runs on those rows alone
     first = [rows for _, rows in ops].index(12)
     assert [name for name, _ in ops[first:]] == [
-        "gather_rows", "gather_rows", "matmul",  # w_o
+        "gather_rows", "matmul", "matmul", "matmul", "multihead_attention",  # q, k, v
+        "gather_rows", "matmul",  # residual rows, w_o
         "matmul", "sigmoid", "hadamard", "add",  # gate, residual
         "layer_norm", "matmul", "add_row", "gelu", "matmul", "add_row", "add",  # FFN
         "layer_norm", "matmul",  # final norm, unembedding
     ]
-    assert {rows for _, rows in ops[first:]} == {12}
+    assert [rows for _, rows in ops[first:]] == [12, 12, 32, 32] + [12] * (len(ops) - first - 4)
     assert limited.n_ops == full.n_ops + 2
+    # one position carries a neighbour row to the logits, then drops it
+    one = nc.GradGraph()
+    forward_batch(params, tokens, graph=one, positions=[5])
+    tail = [(vjp.__qualname__.split(".")[0], out.rows) for out, _, vjp in one._records][-3:]
+    assert tail == [("layer_norm", 8), ("matmul", 8), ("gather_rows", 4)]
+    assert one.n_ops == full.n_ops + 3
     # positions covering every position run the full forward
     every = nc.GradGraph()
     forward_batch(params, tokens, graph=every, positions=np.arange(8))
@@ -602,7 +654,7 @@ def test_positions_limited_grad_check_float64():
 
 @pytest.mark.parametrize("n_seqs, positions", [(2, [1, 5]), (1, [5])])
 def test_positions_limited_gradients_are_the_masked_full_forwards(n_seqs, positions):
-    # (1, [5]) takes the one-row rule; the sums run in another order, so
+    # (1, [5]) carries a neighbour row; the sums run in another order, so
     # the gradients agree to rounding rather than bitwise
     params, limited, masked = _positions_case(n_seqs, positions)
     tensors = [t for _, t in params.named_tensors()]

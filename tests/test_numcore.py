@@ -527,16 +527,19 @@ def ref_layer_norm(xd, gd, bd, eps, g):
     return out, (dx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True))
 
 
-def ref_attention(q, k, v, n_heads, n_seqs, causal, g):
-    total_rows, d = q.shape
+def ref_attention(q, k, v, n_heads, n_seqs, causal, g, queries=None):
+    """The attention formula for q at positions queries of each sequence
+    (every position when None), and its vjp for the output gradient g."""
+    total_rows, d = k.shape
     n, dh = total_rows // n_seqs, d // n_heads
+    rows = np.arange(n) if queries is None else np.asarray(queries)
     inv = 1.0 / math.sqrt(dh)
-    split = lambda t: t.reshape(n_seqs, n, n_heads, dh).transpose(0, 2, 1, 3)
-    merge = lambda t4: np.ascontiguousarray(t4.transpose(0, 2, 1, 3).reshape(total_rows, d))
+    split = lambda t: t.reshape(n_seqs, -1, n_heads, dh).transpose(0, 2, 1, 3)
+    merge = lambda t4: np.ascontiguousarray(t4.transpose(0, 2, 1, 3).reshape(-1, d))
     q4, k4, v4, g4 = split(q), split(k), split(v), split(g)
     scores = (q4 @ k4.transpose(0, 1, 3, 2)) * inv
     if causal:
-        tril = np.tril(np.ones((n, n), dtype=q.dtype.type))
+        tril = np.tril(np.ones((n, n), dtype=q.dtype.type))[rows]
         scores = scores + (1.0 - tril) * nc.MASK_NEG
     e = np.exp(scores - scores.max(axis=3, keepdims=True))
     if causal:
@@ -610,6 +613,49 @@ def test_attention_bitwise_against_formula(dtype, causal):
     assert_bitwise(p, ref_p)
     for got, want in zip(vjp(g), ref_grads):
         assert_bitwise(got, want)
+
+    # query subsets: the formula on those rows, and, from two rows up, the
+    # full formula's rows (numpy hands a 1-row matmul to gemv, whose bits
+    # differ from gemm's, so one row matches only the formula on one row)
+    n = 34
+    for queries in ([n - 1], [0, n - 1], list(range(9, 21)), list(range(n))):
+        rows = (np.arange(n_seqs)[:, None] * n + queries).reshape(-1)
+        qs, gs = nc.Tensor2(q.data[rows]), g[rows]
+        want = ref_attention(qs.data, k.data, v.data, n_heads, n_seqs, causal, gs, queries)
+        out, vjp = _vjp_of_last_op(lambda graph: nc.multihead_attention(
+            qs, k, v, n_heads, n_seqs=n_seqs, causal=causal, graph=graph, queries=queries
+        ))
+        _, p = nc.multihead_attention(
+            qs, k, v, n_heads, n_seqs=n_seqs, causal=causal, want_probs=True, queries=queries
+        )
+        assert_bitwise(out.data, want[0])
+        assert_bitwise(p, want[1])
+        for got, ref in zip(vjp(gs), want[2]):
+            assert_bitwise(got, ref)
+        if len(queries) > 1:
+            assert_bitwise(out.data, ref_out[rows])
+            assert_bitwise(p, np.ascontiguousarray(ref_p[:, :, queries]))
+
+
+@pytest.mark.parametrize("queries", [[5], [0, 3], [2, 3, 4]])
+def test_grad_check_query_subset_attention(queries):
+    # criterion 01's float64 tolerance, through q at the query rows alone
+    def fn(ins, g):
+        out = nc.multihead_attention(
+            ins[0], ins[1], ins[2], n_heads=2, n_seqs=2, graph=g, queries=queries
+        )
+        return nc.frobenius_sq(out, g)
+
+    q = rnd(2 * len(queries), 4, seed=58)
+    inputs = [q] + [rnd(12, 4, seed=s) for s in (59, 60)]
+    assert nc.grad_check(fn, inputs, eps=1e-5) < 1e-5
+
+
+@pytest.mark.parametrize("q_rows, queries", [(6, [1, 4]), (4, [0, 1, 2]), (12, [5]), (4, None)])
+def test_query_rows_must_be_sequences_times_queries(q_rows, queries):
+    k = rnd(12, 4, seed=61)
+    with pytest.raises(nc.DimensionError, match="q has"):
+        nc.multihead_attention(rnd(q_rows, 4, seed=62), k, k, n_heads=2, n_seqs=2, queries=queries)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
