@@ -25,7 +25,7 @@ from .evalsuite import (
     perplexity,
     retention_probe,
 )
-from .model import GateMode, count_flops, init_params
+from .model import GateMode, init_params
 from .numcore import NumericError, Rng
 from .persist import (
     METRICS_COLUMNS,
@@ -59,44 +59,31 @@ def _run_id(*parts) -> str:
 
 def _add_task_flags(p: argparse.ArgumentParser):
     p.add_argument("--task", choices=["copy", "kv_recall", "corpus"], help="task kind")
-    p.add_argument("--vocab-size", type=int, default=64, help="vocabulary size for synthetic tasks")
+    p.add_argument("--vocab-size", type=int,
+                   help="vocabulary size (gen-data: default 64; eval: the checkpoint's)")
     p.add_argument("--seq-len", type=int, help="sequence length")
     p.add_argument("--pairs", type=int, help="key-value pairs per row (kv_recall)")
     p.add_argument("--distances", type=_int_list, help="comma list of probe distances (kv_recall)")
     p.add_argument("--samples", type=int, default=1024, help="rows to generate")
-    p.add_argument("--task-seed", type=int, default=0, help="data generation seed")
+    p.add_argument("--task-seed", type=int, help="data generation seed")
     p.add_argument("--corpus", help="corpus file path (corpus task)")
-    p.add_argument("--val-fraction", type=float, default=0.1)
+    p.add_argument("--val-fraction", type=float)
+
+
+# task flag dest -> TaskSpec field; TaskSpec owns every default and rule
+_TASK_FIELDS = {
+    "task": "kind", "seq_len": "seq_len", "pairs": "pairs", "distances": "distances",
+    "samples": "samples", "task_seed": "seed", "val_fraction": "val_fraction",
+    "corpus": "corpus_path",
+}
 
 
 def _task_from_flags(args) -> TaskSpec:
     if args.task is None:
         raise ConfigError("no task given: pass --task or --data")
-    if args.task == "kv_recall":
-        if args.distances:
-            return TaskSpec.kv_recall(
-                distances=args.distances, samples=args.samples, seed=args.task_seed,
-                seq_len=args.seq_len, pairs=args.pairs, val_fraction=args.val_fraction,
-            )
-        if args.seq_len is None or args.pairs is None:
-            raise ConfigError("kv_recall needs --distances or both --seq-len and --pairs")
-        return TaskSpec(
-            kind="kv_recall", seq_len=args.seq_len, pairs=args.pairs,
-            samples=args.samples, seed=args.task_seed, val_fraction=args.val_fraction,
-        )
-    if args.task == "corpus":
-        if args.corpus is None or args.seq_len is None:
-            raise ConfigError("corpus task needs --corpus and --seq-len")
-        return TaskSpec(
-            kind="corpus", seq_len=args.seq_len, seed=args.task_seed,
-            corpus_path=args.corpus, val_fraction=args.val_fraction,
-        )
-    if args.seq_len is None:
-        raise ConfigError("copy task needs --seq-len")
-    return TaskSpec(
-        kind="copy", seq_len=args.seq_len, samples=args.samples,
-        seed=args.task_seed, val_fraction=args.val_fraction,
-    )
+    given = {field: getattr(args, dest) for dest, field in _TASK_FIELDS.items()
+             if getattr(args, dest) is not None}
+    return TaskSpec(**given)
 
 
 def _gen_synthetic(spec: TaskSpec, layout: VocabLayout):
@@ -105,15 +92,13 @@ def _gen_synthetic(spec: TaskSpec, layout: VocabLayout):
     return gen(spec, layout, Rng(spec.seed))
 
 
-def _generate_eval_data(args):
-    if getattr(args, "data", None):
+def _generate_eval_data(args, vocab_size: int):
+    if args.data:
         return load_dataset(args.data)
     spec = _task_from_flags(args)
+    layout = layout_for(spec, vocab_size)
     if spec.kind == "corpus":
-        layout = VocabLayout.bytes_()
-        _, val = build_task_data(spec, layout)
-        return val, spec, layout
-    layout = layout_for(spec, args.vocab_size)
+        return build_task_data(spec, layout)[1], spec, layout
     return _gen_synthetic(spec, layout), spec, layout
 
 
@@ -200,7 +185,9 @@ def cmd_eval(args) -> int:
     if args.gate_mode:
         params = params.with_gate_mode(args.gate_mode)
     mode = params.config.gate_mode
-    dataset, task, layout = _generate_eval_data(args)
+    # a --vocab-size other than the checkpoint's fails the vocab check below
+    vocab = params.config.vocab_size if args.vocab_size is None else args.vocab_size
+    dataset, task, layout = _generate_eval_data(args, vocab)
     if dataset.seq_len > params.config.max_seq_len:
         raise ConfigError(
             f"dataset seq_len {dataset.seq_len} exceeds model max {params.config.max_seq_len}"
@@ -259,7 +246,6 @@ def cmd_bench(args) -> int:
         if spec.model is None:
             raise ConfigError(f"{args.config}: bench needs a [model] section")
         params = init_params(spec.model, Rng(args.seed), dtype=_dtype_of(args.precision))
-    cfg = params.config
 
     curves = {}
     for mode in (GateMode.LEARNED, GateMode.DISABLED):
@@ -273,12 +259,6 @@ def cmd_bench(args) -> int:
             rows.append(f"{r.seq_len},{mode.value},{r.median_ms!r},{r.flops}")
     ratios = ["seq_len,latency_ratio,flop_delta"]
     for on, off in zip(curves[GateMode.LEARNED].rows, curves[GateMode.DISABLED].rows):
-        gate_cost = count_flops(cfg, on.seq_len, GateMode.LEARNED).gate
-        if on.flops - off.flops != gate_cost:
-            raise RuntimeError(
-                f"bench: gate flop delta {on.flops - off.flops} at n={on.seq_len} "
-                f"differs from the census's {gate_cost}"
-            )
         ratios.append(f"{on.seq_len},{on.median_ms / off.median_ms!r},{on.flops - off.flops}")
     _emit(rows, args.out, "bench.csv")
     _emit(ratios, args.out, "overhead.csv")
@@ -291,12 +271,12 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    base = replace(_task_from_flags(args), seed=args.seed) if args.seed is not None else _task_from_flags(args)
-    if base.kind == "corpus":
+    spec = _task_from_flags(args)
+    if spec.kind == "corpus":
         raise ConfigError("gen-data writes synthetic tasks; corpus data is loaded from file")
-    layout = layout_for(base, args.vocab_size)
+    layout = layout_for(spec, args.vocab_size)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    save_dataset(args.out, _gen_synthetic(base, layout), base, layout)
+    save_dataset(args.out, _gen_synthetic(spec, layout), spec, layout)
     return 0
 
 
@@ -350,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen-data", help="write a reproducible dataset artifact")
     _add_task_flags(p_gen)
     p_gen.add_argument("--out", required=True, help="artifact path")
-    p_gen.add_argument("--seed", type=int, help="override the task seed")
-    p_gen.set_defaults(func=cmd_gen_data)
+    p_gen.set_defaults(func=cmd_gen_data, vocab_size=64)
 
     return parser
 

@@ -123,6 +123,8 @@ class Batch:
             raise ValueError("loss_mask shape mismatch")
         if self.meta is not None and self.meta.shape != (self.tokens.shape[0],):
             raise ValueError("meta must be one entry per row")
+        if self.protected is not None and self.protected.shape != self.tokens.shape:
+            raise ValueError("protected shape mismatch")
 
     @property
     def n_rows(self) -> int:
@@ -153,10 +155,15 @@ class Batch:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """What to generate: task kind, geometry, sample count, seed."""
+    """What to generate: task kind, geometry, sample count, seed.
+
+    Every task rule lives here. A kv_recall spec with distances derives
+    whatever of seq_len and pairs is left at 0: the smallest geometry
+    realizing the distance list (pairs up front, one query at the end;
+    distance = final position minus planted value slot)."""
 
     kind: str  # copy | kv_recall | corpus
-    seq_len: int
+    seq_len: int = 0
     pairs: int = 0
     distances: tuple[int, ...] = ()
     samples: int = 0
@@ -167,13 +174,22 @@ class TaskSpec:
     def __post_init__(self):
         if self.kind not in ("copy", "kv_recall", "corpus"):
             raise ValueError(f"unknown task kind {self.kind!r}")
+        object.__setattr__(self, "distances", tuple(int(d) for d in self.distances))
+        if self.kind == "kv_recall" and self.distances:
+            if not self.seq_len:
+                object.__setattr__(self, "seq_len", max(self.distances) + 2)
+            if not self.pairs:
+                need = max(_kv_pair_index(self.seq_len, None, d) for d in self.distances)
+                object.__setattr__(self, "pairs", need + 1)
         if self.kind != "corpus" and self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.kind == "corpus" and (self.corpus_path is None or self.seq_len < 1):
+            raise ValueError("corpus task needs corpus_path and seq_len")
         if self.kind == "copy" and (self.seq_len < 4 or self.seq_len % 2 != 0):
             raise ValueError("copy task needs seq_len = 2*payload + 2")
         if self.kind == "kv_recall":
-            if self.pairs < 1:
-                raise ValueError("kv_recall needs pairs >= 1")
+            if self.pairs < 1 or self.seq_len < 1:
+                raise ValueError("kv_recall needs distances or both seq_len and pairs")
             if 2 * self.pairs + 2 > self.seq_len:
                 raise ValueError("pairs + query do not fit in seq_len")
             for d in self.distances:
@@ -187,19 +203,10 @@ class TaskSpec:
 
     @classmethod
     def kv_recall(cls, distances, samples, seed=0, seq_len=None, pairs=None, val_fraction=0.1):
-        """Smallest geometry realizing the distance list (pairs up front, one
-        query at the end; distance = final position minus planted value slot)."""
-        distances = tuple(int(d) for d in distances)
-        if not distances:
-            raise ValueError("kv_recall needs at least one distance")
-        if seq_len is None:
-            seq_len = max(distances) + 2
-        if pairs is None:
-            pairs = max(_kv_pair_index(seq_len, None, d) for d in distances) + 1
+        """A kv_recall spec; seq_len and pairs left None are derived."""
         return cls(
-            kind="kv_recall", seq_len=seq_len, pairs=pairs,
-            distances=distances, samples=samples, seed=seed,
-            val_fraction=val_fraction,
+            kind="kv_recall", seq_len=seq_len or 0, pairs=pairs or 0, distances=distances,
+            samples=samples, seed=seed, val_fraction=val_fraction,
         )
 
 
@@ -373,8 +380,6 @@ def split_train_val(dataset: Batch, val_fraction: float) -> tuple[Batch, Batch]:
 def build_task_data(spec: TaskSpec, layout: VocabLayout) -> tuple[Batch, Batch]:
     """Generate (train, validation) data for a task spec."""
     if spec.kind == "corpus":
-        if spec.corpus_path is None:
-            raise ValueError("corpus task needs corpus_path")
         train_stream, val_stream = load_corpus(
             spec.corpus_path, (1.0 - spec.val_fraction, spec.val_fraction), layout
         )

@@ -68,10 +68,6 @@ class LatencyCurve:
     gate_mode: GateMode
     repetitions: int
 
-    def __post_init__(self):
-        if self.repetitions < 20:
-            raise ValueError(f"latency medians need >= 20 repetitions after {WARMUPS} warmups")
-
 
 def _scored_chunks(params: Params, dataset: Batch):
     """(first row, chunk, P scored positions, [(rows*P) x V] logits) for
@@ -193,6 +189,8 @@ def latency_bench(
     tokens, with the closed-form flop estimate attached. Run exclusively.
     seq_lens None times the powers of two from 8 below the model's
     max_seq_len, then max_seq_len itself."""
+    if repetitions < 20:
+        raise ValueError(f"latency medians need >= 20 repetitions after {WARMUPS} warmups")
     cfg = params.config
     if seq_lens is None:
         top = cfg.max_seq_len

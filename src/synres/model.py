@@ -364,12 +364,17 @@ def forward(
     want_trace: bool = False,
     graph: GradGraph | None = None,
 ) -> tuple[Tensor2, ActivationTrace | None]:
-    """Run one token sequence through the model; logits row t depends only on
-    tokens 0..t. mode defaults to the config's gate_mode."""
+    """Run one token sequence, 1-D or [1 x n], through the model; logits row
+    t depends only on tokens 0..t. mode defaults to the config's gate_mode.
+    A batch of more than one sequence goes to forward_batch."""
     # the one entry point that still takes a per-call mode: the latency
     # benchmark and its tracer time both gate modes on one set of params
     # through forward(..., mode=) and count_flops(config, n, mode)
-    return _forward_impl(params, np.asarray(tokens).reshape(-1), mode, graph, want_trace)
+    tokens = np.asarray(tokens)
+    if tokens.ndim == 2 and tokens.shape[0] != 1:
+        raise ValueError(f"forward runs one sequence, got a batch of shape {tokens.shape}; "
+                         "use forward_batch")
+    return _forward_impl(params, tokens, mode, graph, want_trace)
 
 
 def forward_batch(

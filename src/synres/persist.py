@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import configparser
 import io
-import json
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
@@ -190,7 +189,7 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def save_dataset(path, batch: Batch, spec: TaskSpec, layout: VocabLayout):
-    """Dataset artifact in the container format plus a JSON TaskSpec sidecar."""
+    """Dataset artifact in the container format; the header holds the TaskSpec."""
     header = [f"format {FORMAT_VERSION}", "kind dataset"]
     header += _header_lines("task", spec)
     header += _header_lines("layout", layout)
@@ -204,8 +203,6 @@ def save_dataset(path, batch: Batch, spec: TaskSpec, layout: VocabLayout):
     if batch.protected is not None:
         arrays.append(("protected", batch.protected.astype(np.bool_)))
     _write_container(path, header, arrays)
-    sidecar = {name: _fmt(getattr(spec, name)) for name in _fields(TaskSpec)}
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
 def load_dataset(path) -> tuple[Batch, TaskSpec, VocabLayout]:
@@ -217,13 +214,17 @@ def load_dataset(path) -> tuple[Batch, TaskSpec, VocabLayout]:
     for required in ("tokens", "targets", "loss_mask"):
         if required not in arrays:
             raise CheckpointError(f"tensor {required}: missing from manifest")
-    batch = Batch(
-        tokens=arrays["tokens"],
-        targets=arrays["targets"],
-        loss_mask=arrays["loss_mask"].astype(bool),
-        meta=arrays["meta"].reshape(-1) if "meta" in arrays else None,
-        protected=arrays["protected"].astype(bool) if "protected" in arrays else None,
-    )
+    try:
+        batch = Batch(
+            tokens=arrays["tokens"],
+            targets=arrays["targets"],
+            loss_mask=arrays["loss_mask"].astype(bool),
+            meta=arrays["meta"].reshape(-1) if "meta" in arrays else None,
+            protected=arrays["protected"].astype(bool) if "protected" in arrays else None,
+        )
+        batch.validate(layout.vocab_size)
+    except ValueError as err:
+        raise CheckpointError(f"{path}: {err}") from err
     return batch, spec, layout
 
 

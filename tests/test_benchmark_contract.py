@@ -115,3 +115,19 @@ def test_traced_blocked_eval_chunk_is_one_span_counting_every_sequence(monkeypat
         assert spans.counters["evalsuite_tokens"] == 5 * 6
         if positions is None:
             assert spans.counters["flops"] == 5 * count_flops(CFG, 6).total
+
+
+def test_eval_by_flags_generates_through_cli_gen_kv_recall(tmp_path, monkeypatch):
+    # the eval_kv workload captures its dataset at cli.gen_kv_recall for the
+    # "noise level 0 reproduces clean accuracy" check, which is skipped
+    # without a word if eval generates kv_recall data some other way
+    ckpt = tmp_path / "model.ckpt"
+    persist.save_checkpoint(ckpt, init_params(CFG, Rng(8)), TrainConfig(epochs=1, batch_size=4), 8, 0)
+    seen = []
+    real = cli.gen_kv_recall
+    monkeypatch.setattr(cli, "gen_kv_recall", lambda *a, **k: seen.append(real(*a, **k)) or seen[-1])
+    argv = ["eval", str(ckpt), "--task", "kv_recall", "--distances", "4,6",
+            "--vocab-size", str(CFG.vocab_size), "--samples", "8", "--task-seed", "8",
+            "--seed", "8", "--out", str(tmp_path / "eval")]
+    assert cli.main(argv) == 0
+    assert len(seen) == 1 and seen[0].n_rows == 8

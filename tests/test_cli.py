@@ -8,11 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from synres.cli import main
+from synres.cli import _task_from_flags, build_parser, main
+from synres.datagen import TaskSpec
 from synres.evalsuite import noise_robustness, perplexity, retention_probe
 from synres.model import GateMode, ModelConfig, count_flops, init_params
 from synres.numcore import Rng, Tensor2, randn
-from synres.persist import load_checkpoint, load_dataset, load_config, save_checkpoint
+from synres.persist import load_checkpoint, load_dataset, load_config, save_checkpoint, save_dataset
 
 SMALL_CONFIG = """\
 [model]
@@ -212,6 +213,45 @@ def test_eval_from_artifact(trained, tmp_path):
     assert rc == 0
 
 
+def test_eval_by_flags_takes_the_checkpoints_vocab(trained, tmp_path, capsys):
+    args = ["eval", str(trained), "--task", "kv_recall", "--distances", "4,6", "--samples", "24"]
+    implied, explicit = tmp_path / "implied", tmp_path / "explicit"
+    assert main(args + ["--out", str(implied)]) == 0
+    assert main(args + ["--vocab-size", "32", "--out", str(explicit)]) == 0
+    assert (implied / "eval.csv").read_text() == (explicit / "eval.csv").read_text()
+    assert main(args + ["--vocab-size", "64"]) == 2
+    assert "dataset vocab 64 != model vocab 32" in capsys.readouterr().err
+
+
+@pytest.fixture
+def artifact(tmp_path):
+    art = tmp_path / "data.ds"
+    assert main(["gen-data", "--task", "kv_recall", "--distances", "4,6",
+                 "--vocab-size", "32", "--samples", "20", "--out", str(art)]) == 0
+    return art
+
+
+@pytest.mark.parametrize("line,short,message", [
+    (b"tensor meta 20 1 i8 ", b"tensor meta 19 1 i8 ", "meta must be one entry per row"),
+    # a [20 x 1] mask would broadcast over every position of its row
+    (b"tensor protected 20 8 b1 ", b"tensor protected 20 1 b1 ", "protected shape mismatch"),
+])
+def test_eval_artifact_with_mis_shaped_rows_exit5(trained, artifact, capsys, line, short, message):
+    blob = artifact.read_bytes()
+    assert blob.count(line) == 1
+    artifact.write_bytes(blob.replace(line, short))
+    assert main(["eval", str(trained), "--data", str(artifact)]) == 5
+    assert f"{artifact}: {message}" in capsys.readouterr().err
+
+
+def test_eval_artifact_with_token_past_vocab_exit5(trained, artifact, capsys):
+    batch, spec, layout = load_dataset(artifact)
+    batch.tokens[3, 0] = layout.vocab_size
+    save_dataset(artifact, batch, spec, layout)
+    assert main(["eval", str(trained), "--data", str(artifact)]) == 5
+    assert f"{artifact}: token index outside vocab" in capsys.readouterr().err
+
+
 def test_eval_gate_mode_runs_the_checkpoint_weights_under_that_mode(trained, tmp_path):
     art = tmp_path / "data.ds"
     assert main(["gen-data", "--task", "kv_recall", "--distances", "4,6",
@@ -279,24 +319,6 @@ def test_bench_overlength_exit2(config_path, tmp_path):
     assert rc == 2
 
 
-def test_bench_flop_check_holds_under_optimize(config_path):
-    # a census that disagrees with the timed forwards must fail even under -O
-    code = (
-        "import dataclasses, sys\n"
-        "from synres import cli\n"
-        "census = cli.count_flops\n"
-        "cli.count_flops = lambda *a, **k: dataclasses.replace(census(*a, **k), gate=1)\n"
-        "sys.exit(cli.main(sys.argv[1:]))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code, "bench", "--config", str(config_path),
-         "--seq-lens", "4", "--reps", "20"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode != 0
-    assert "gate flop delta" in proc.stderr
-
-
 def test_bench_needs_exactly_one_source(config_path):
     assert main(["bench"]) == 2
     assert main(["bench", "--config", str(config_path), "--ckpt", "x.ckpt"]) == 2
@@ -310,7 +332,7 @@ def test_bench_needs_exactly_one_source(config_path):
 def test_gen_data_byte_identical(tmp_path):
     a1, a2 = tmp_path / "d1.ds", tmp_path / "d2.ds"
     args = ["gen-data", "--task", "copy", "--seq-len", "12", "--vocab-size", "64",
-            "--samples", "30", "--seed", "5"]
+            "--samples", "30", "--task-seed", "5"]
     assert main(args + ["--out", str(a1)]) == 0
     assert main(args + ["--out", str(a2)]) == 0
     assert a1.read_bytes() == a2.read_bytes()
@@ -328,7 +350,7 @@ def test_gen_data_creates_output_directory(tmp_path):
     art = tmp_path / "data" / "nested" / "copy.ds"
     assert main(["gen-data", "--task", "copy", "--seq-len", "12", "--vocab-size", "64",
                  "--samples", "10", "--out", str(art)]) == 0
-    assert art.exists() and (art.parent / "copy.ds.json").exists()
+    assert list(art.parent.iterdir()) == [art]  # an artifact is one file
 
 
 def test_gen_data_round_trips_through_loader(tmp_path):
@@ -339,7 +361,32 @@ def test_gen_data_round_trips_through_loader(tmp_path):
     assert batch.n_rows == 24
     assert spec.kind == "kv_recall" and spec.distances == (4, 8)
     batch.validate(layout.vocab_size)
-    assert (art.parent / "kv.ds.json").exists()
+
+
+# --------------------------------------------------------------------------
+# task flags
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("distances,samples,seq_len,want", [
+    ((16, 32, 38), 500, None, (40, 12)),
+    ((4, 6), 24, None, (8, 2)),
+    ((3, 5, 7), 10, None, (9, 3)),
+    ((8,), 10, None, (10, 1)),
+    ((4, 8), 10, 20, (20, 8)),
+])
+def test_kv_recall_spec_is_one_spec_by_classmethod_fields_and_flags(distances, samples, seq_len, want):
+    by_method = TaskSpec.kv_recall(distances, samples, seed=3, seq_len=seq_len)
+    assert (by_method.seq_len, by_method.pairs) == want
+    by_fields = TaskSpec(kind="kv_recall", distances=np.array(distances), samples=samples,
+                         seed=3, seq_len=seq_len or 0)
+    flags = ["gen-data", "--task", "kv_recall", "--distances", ",".join(map(str, distances)),
+             "--samples", str(samples), "--task-seed", "3", "--out", "unused.ds"]
+    flags += ["--seq-len", str(seq_len)] if seq_len else []
+    by_flags = _task_from_flags(build_parser().parse_args(flags))
+    assert by_method == by_fields == by_flags
+    # eval's run_id hashes str(task), so the specs must print alike too
+    assert str(by_method) == str(by_fields) == str(by_flags)
 
 
 # --------------------------------------------------------------------------

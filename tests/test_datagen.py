@@ -146,6 +146,13 @@ def test_kv_incompatible_distances():
         TaskSpec(kind="kv_recall", seq_len=10, pairs=2, distances=(2,), samples=2)
 
 
+def test_corpus_spec_needs_path_and_seq_len():
+    for given in ({"seq_len": 8}, {"corpus_path": "corpus.txt"}):
+        with pytest.raises(ValueError, match="corpus task needs corpus_path and seq_len"):
+            TaskSpec(kind="corpus", **given)
+    assert TaskSpec(kind="corpus", seq_len=8, corpus_path="corpus.txt").samples == 0
+
+
 def test_kv_protected_positions():
     spec = TaskSpec.kv_recall(distances=(6,), samples=4, seed=1)
     lay = VocabLayout.synthetic(32, n_keys=spec.pairs)

@@ -280,10 +280,13 @@ def test_latency_default_lengths_fit_the_model():
     assert [r.seq_len for r in curve.rows] == [8, 16]
 
 
-def test_latency_enforces_protocol():
+def test_latency_enforces_protocol(monkeypatch):
     params = untrained_model(vocab=32, d=16, ctx=64)
+    calls = []
+    monkeypatch.setattr(evalsuite, "forward", lambda *a, **k: calls.append(1))
     with pytest.raises(ValueError):
         latency_bench(params, seq_lens=(8,), repetitions=5)
+    assert calls == []  # rejected before any warmup or timed forward
     with pytest.raises(ValueError):
         latency_bench(params, seq_lens=(999,))
 

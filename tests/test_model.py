@@ -277,6 +277,16 @@ def test_forward_rejects_a_three_dimensional_batch():
         forward_batch(tiny_params(), np.ones((2, 2, 3), dtype=np.int64))
 
 
+def test_forward_runs_one_sequence_and_rejects_a_batch():
+    # a [2 x 2] batch once ran as one 4-token sequence
+    params = tiny_params(seed=10)
+    one, _ = forward(params, [1, 2, 3, 4])
+    row, _ = forward(params, [[1, 2, 3, 4]])
+    np.testing.assert_array_equal(row.data, one.data)
+    with pytest.raises(ValueError, match=r"shape \(2, 2\); use forward_batch"):
+        forward(params, [[1, 2], [3, 4]])
+
+
 def test_forward_forced_ones_equals_disabled_bitwise():
     params = tiny_params(seed=11)
     a, _ = forward(params, [3, 1, 4, 1, 5], mode=GateMode.FORCED_ONES)

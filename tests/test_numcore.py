@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synres import numcore as nc
@@ -168,10 +168,15 @@ def test_sigmoid_oracles():
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+@example(3492)  # draws x = 40.1
 def test_sigmoid_range_and_symmetry(seed):
     x = rnd(3, 4, seed=seed, dtype=np.float64, scale=8.0)
     out = nc.sigmoid(x)
-    assert ((out.data > 0.0) & (out.data < 1.0)).all()
+    # in float64, 1 + e^-x rounds to 1 once e^-x < 2^-53 (x > 53 ln 2, about
+    # 36.74), so the correctly rounded sigmoid is exactly 1.0 there
+    assert ((out.data > 0.0) & (out.data <= 1.0)).all()
+    assert (out.data[x.data < 36.7] < 1.0).all()
+    assert (out.data[x.data > 36.8] == 1.0).all()
     neg = nc.sigmoid(nc.Tensor2(-x.data))
     np.testing.assert_allclose(neg.data, 1.0 - out.data, atol=1e-6)
 

@@ -127,7 +127,6 @@ def test_dataset_round_trip(tmp_path, kind):
             assert getattr(loaded, extra) is None
         else:
             np.testing.assert_array_equal(getattr(loaded, extra), getattr(batch, extra))
-    assert (tmp_path / "task.ds.json").exists()
 
 
 def test_dataset_kind_mismatch(tmp_path):
@@ -204,6 +203,19 @@ def test_config_round_trip(tmp_path):
     out = tmp_path / "frozen.cfg"
     save_config(out, spec)
     assert load_config(out) == spec
+
+
+def test_config_kv_recall_by_distances_alone(tmp_path):
+    # the spec derives seq_len and pairs, as TaskSpec.kv_recall does
+    path = tmp_path / "kv.cfg"
+    path.write_text("[task]\nkind = kv_recall\ndistances = 4,6\nsamples = 24\n")
+    task = load_config(path).task
+    assert task == TaskSpec.kv_recall(distances=(4, 6), samples=24)
+    assert (task.seq_len, task.pairs) == (8, 2)
+    out = tmp_path / "frozen.cfg"
+    save_config(out, RunSpec(model=None, train=None, task=task))
+    assert "seq_len = 8\npairs = 2\n" in out.read_text()
+    assert load_config(out).task == task
 
 
 def test_config_inline_comments(tmp_path):
