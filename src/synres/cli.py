@@ -64,7 +64,7 @@ def _add_task_flags(p: argparse.ArgumentParser):
     p.add_argument("--seq-len", type=int, help="sequence length")
     p.add_argument("--pairs", type=int, help="key-value pairs per row (kv_recall)")
     p.add_argument("--distances", type=_int_list, help="comma list of probe distances (kv_recall)")
-    p.add_argument("--samples", type=int, default=1024, help="rows to generate")
+    p.add_argument("--samples", type=int, help=f"rows to generate (default {DEFAULT_SAMPLES})")
     p.add_argument("--task-seed", type=int, help="data generation seed")
     p.add_argument("--corpus", help="corpus file path (corpus task)")
     p.add_argument("--val-fraction", type=float)
@@ -76,6 +76,7 @@ _TASK_FIELDS = {
     "samples": "samples", "task_seed": "seed", "val_fraction": "val_fraction",
     "corpus": "corpus_path",
 }
+DEFAULT_SAMPLES = 1024  # rows a by-flags task generates when --samples is absent
 
 
 def _task_from_flags(args) -> TaskSpec:
@@ -83,7 +84,7 @@ def _task_from_flags(args) -> TaskSpec:
         raise ConfigError("no task given: pass --task or --data")
     given = {field: getattr(args, dest) for dest, field in _TASK_FIELDS.items()
              if getattr(args, dest) is not None}
-    return TaskSpec(**given)
+    return TaskSpec(**{"samples": DEFAULT_SAMPLES, **given})
 
 
 def _gen_synthetic(spec: TaskSpec, layout: VocabLayout):
@@ -94,6 +95,10 @@ def _gen_synthetic(spec: TaskSpec, layout: VocabLayout):
 
 def _generate_eval_data(args, vocab_size: int):
     if args.data:
+        given = [f"--{dest.replace('_', '-')}" for dest in (*_TASK_FIELDS, "vocab_size")
+                 if getattr(args, dest) is not None]
+        if given:
+            raise ConfigError(f"--data takes no task flags, got {', '.join(given)}")
         return load_dataset(args.data)
     spec = _task_from_flags(args)
     layout = layout_for(spec, vocab_size)

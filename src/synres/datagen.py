@@ -7,7 +7,7 @@ be scored as exact match per distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -344,13 +344,7 @@ def inject_noise(batch: Batch, p: float, layout: VocabLayout, rng: Rng) -> Batch
     if batch.protected is not None:
         fire &= ~batch.protected
     draws = rng.integers(lo, hi, size=batch.tokens.shape)
-    return Batch(
-        tokens=np.where(fire, draws, batch.tokens),
-        targets=batch.targets,
-        loss_mask=batch.loss_mask,
-        meta=batch.meta,
-        protected=batch.protected,
-    )
+    return replace(batch, tokens=np.where(fire, draws, batch.tokens))
 
 
 def batches(

@@ -304,12 +304,9 @@ def _check_positions(positions, n):
 
 def _block_bounds(cfg, n_seqs, n, itemsize):
     """Sequence bounds of near-equal blocks, each within BLOCK_BUDGET if a
-    sequence fits. A 1-row matmul takes BLAS's gemv, whose bits differ from
-    gemm's; at least 3 one-token sequences per block keep every block of a
-    batch of more than one row at 2 rows or more."""
+    sequence fits."""
     per_seq = itemsize * n * max(cfg.d_ff, cfg.vocab_size, cfg.n_heads * n)
-    cap = max(1 if n > 1 else 3, BLOCK_BUDGET // per_seq)
-    k = -(-n_seqs // cap)
+    k = -(-n_seqs // max(1, BLOCK_BUDGET // per_seq))
     return [n_seqs * i // k for i in range(k + 1)]
 
 
@@ -319,13 +316,7 @@ def _forward_body(params, tokens, mode, positions, want_trace, graph):
     attention, run on those rows of each sequence alone, while its keys and
     values cover every position; the logits are [(B*P) x V]."""
     n_seqs, n = tokens.shape
-    keep = positions
-    if positions is not None and positions.size == 1:
-        # one query row per sequence would make 1-row score and p @ v
-        # matmuls, which numpy hands to gemv, whose bits differ from gemm's;
-        # a neighbour row rides along to the logits
-        keep = positions + np.array([-1, 0] if positions[0] else [0, 1])
-    rows = None if keep is None else (np.arange(n_seqs)[:, None] * n + keep).reshape(-1)
+    rows = None if positions is None else (np.arange(n_seqs)[:, None] * n + positions).reshape(-1)
     # the n position rows are gathered once and added to every sequence
     x = nc.add_row(
         nc.gather_rows(params.tok_emb, tokens.reshape(-1), graph),
@@ -337,7 +328,7 @@ def _forward_body(params, tokens, mode, positions, want_trace, graph):
     for layer in params.layers:
         h = nc.layer_norm(x, layer.ln1_gain, layer.ln1_bias, graph)
         if rows is not None and layer is last:
-            core = _attention(h, layer, params.config.n_heads, n_seqs, graph, keep, rows)
+            core = _attention(h, layer, params.config.n_heads, n_seqs, graph, positions, rows)
             # every op from here on is local to a row
             x = nc.gather_rows(x, rows, graph)
         else:
@@ -351,10 +342,7 @@ def _forward_body(params, tokens, mode, positions, want_trace, graph):
         f = nc.gelu(nc.add_row(nc.matmul(h2, layer.ffn_w1, graph), layer.ffn_b1, graph), graph)
         x = nc.add(x, nc.add_row(nc.matmul(f, layer.ffn_w2, graph), layer.ffn_b2, graph), graph)
     h = nc.layer_norm(x, params.final_gain, params.final_bias, graph)
-    logits = nc.matmul(h, params.unembed, graph)
-    if keep is not positions:
-        logits = nc.gather_rows(logits, 2 * np.arange(n_seqs) + int(positions[0] > 0), graph)
-    return logits, trace
+    return nc.matmul(h, params.unembed, graph), trace
 
 
 def forward(
@@ -392,8 +380,7 @@ def forward_batch(
     those rows of the full forward. Every layer but the last runs on every
     position, and the last projects its keys and values at every position;
     its queries, scores and softmax, and everything from its output
-    projection to the unembedding, run on the B*P rows alone (with one
-    position, on it and a neighbour, whose logits are dropped)."""
+    projection to the unembedding, run on the B*P rows alone."""
     logits, _ = _forward_impl(params, tokens, None, graph, False, positions)
     return logits
 

@@ -248,6 +248,13 @@ def run_deferred(body, graph: GradGraph | None, *args):
 # --------------------------------------------------------------------------
 
 
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for every forward product, never on one row (axis -2): numpy
+    hands that to gemv, whose bits differ from gemm's, so a lone row is
+    multiplied doubled and the first copy kept."""
+    return a @ b if a.shape[-2] != 1 else (np.concatenate((a, a), axis=-2) @ b)[..., :1, :]
+
+
 @_quiet
 def matmul(a: Tensor2, b: Tensor2, graph: GradGraph | None = None) -> Tensor2:
     """Matrix product a @ b.
@@ -258,7 +265,7 @@ def matmul(a: Tensor2, b: Tensor2, graph: GradGraph | None = None) -> Tensor2:
     if a.cols != b.rows:
         raise DimensionError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
-    return _result("matmul", ad @ bd, graph, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+    return _result("matmul", _mm(ad, bd), graph, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
 @_quiet
@@ -530,7 +537,7 @@ def multihead_attention(
 
     q4, k4, v4 = split_heads(q.data), split_heads(k.data), split_heads(v.data)
     # the softmax runs in place on one score buffer, which becomes p
-    p = q4 @ k4.transpose(0, 1, 3, 2)
+    p = _mm(q4, k4.transpose(0, 1, 3, 2))
     p *= inv
     if causal:
         tril, neg = _causal_mask(n, q.dtype)
@@ -558,7 +565,7 @@ def multihead_attention(
         dk4 *= inv
         return merge(dq4), merge(dk4), merge(dv4)
 
-    out = _result("multihead_attention", merge(p @ v4), graph, (q, k, v), vjp)
+    out = _result("multihead_attention", merge(_mm(p, v4)), graph, (q, k, v), vjp)
     return (out, p) if want_probs else out
 
 

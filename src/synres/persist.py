@@ -120,7 +120,10 @@ def _read_container(path):
     sep = raw.find(b"\n\n")
     if sep < 0:
         raise CheckpointError(f"{path}: no blank line terminating the header")
-    header, payload = raw[:sep].decode(), raw[sep + 2 :]
+    try:
+        header, payload = raw[:sep].decode(), raw[sep + 2 :]
+    except UnicodeDecodeError as err:
+        raise CheckpointError(f"{path}: header is not UTF-8 text: {err}") from err
     pairs: dict[str, str] = {}
     manifest: list[tuple[str, int, int, str, int]] = []
     for line in header.splitlines():
@@ -130,20 +133,20 @@ def _read_container(path):
                 name, rows, cols, code, offset = rest.split(" ")
                 manifest.append((name, int(rows), int(cols), code, int(offset)))
             except ValueError as err:
-                raise CheckpointError(f"malformed manifest line: {line!r}") from err
+                raise CheckpointError(f"{path}: malformed manifest line: {line!r}") from err
         else:
             pairs[key] = rest
     if pairs.get("format") != str(FORMAT_VERSION):
-        raise CheckpointError(f"unsupported container format {pairs.get('format')!r}")
+        raise CheckpointError(f"{path}: unsupported container format {pairs.get('format')!r}")
     arrays: dict[str, np.ndarray] = {}
     for name, rows, cols, code, offset in manifest:
         if code not in _DTYPE_CODES:
-            raise CheckpointError(f"tensor {name}: unknown dtype code {code!r}")
+            raise CheckpointError(f"{path}: tensor {name}: unknown dtype code {code!r}")
         dtype = np.dtype(_DTYPE_CODES[code])
         nbytes = rows * cols * dtype.itemsize
         chunk = payload[offset : offset + nbytes]
         if len(chunk) != nbytes:
-            raise CheckpointError(f"tensor {name}: payload truncated at offset {offset}")
+            raise CheckpointError(f"{path}: tensor {name}: payload truncated at offset {offset}")
         arrays[name] = np.frombuffer(chunk, dtype=dtype).reshape(rows, cols).copy()
     return pairs, arrays
 
@@ -171,10 +174,9 @@ def load_checkpoint(path) -> Checkpoint:
     model_config = _header_section(path, pairs, ModelConfig, "model")
     train_config = _header_section(path, pairs, TrainConfig, "train")
     try:
-        seed = int(pairs["seed"])
-        epoch = int(pairs["epoch"])
-    except KeyError as err:
-        raise CheckpointError(f"missing header entry {err.args[0]}") from err
+        seed, epoch = int(pairs["seed"]), int(pairs["epoch"])
+    except (KeyError, ValueError) as err:
+        raise CheckpointError(f"{path}: bad or missing header seed/epoch: {err}") from err
 
     for name, arr in arrays.items():
         if arr.dtype not in (np.float32, np.float64):
@@ -211,9 +213,6 @@ def load_dataset(path) -> tuple[Batch, TaskSpec, VocabLayout]:
         raise CheckpointError(f"{path}: container kind {pairs.get('kind')!r} is not a dataset")
     spec = _header_section(path, pairs, TaskSpec, "task")
     layout = _header_section(path, pairs, VocabLayout, "layout")
-    for required in ("tokens", "targets", "loss_mask"):
-        if required not in arrays:
-            raise CheckpointError(f"tensor {required}: missing from manifest")
     try:
         batch = Batch(
             tokens=arrays["tokens"],
@@ -223,6 +222,13 @@ def load_dataset(path) -> tuple[Batch, TaskSpec, VocabLayout]:
             protected=arrays["protected"].astype(bool) if "protected" in arrays else None,
         )
         batch.validate(layout.vocab_size)
+        if (spec.samples, spec.seq_len) != batch.tokens.shape:
+            raise ValueError(f"header task.samples {spec.samples} and task.seq_len {spec.seq_len}"
+                             f" disagree with the {batch.n_rows} x {batch.seq_len} tokens")
+        if spec.distances and not np.isin(batch.meta, spec.distances).all():
+            raise ValueError(f"meta must give each row one of task.distances {spec.distances}")
+    except KeyError as err:  # tokens, targets and loss_mask are required
+        raise CheckpointError(f"{path}: tensor {err.args[0]}: missing from manifest") from err
     except ValueError as err:
         raise CheckpointError(f"{path}: {err}") from err
     return batch, spec, layout

@@ -100,9 +100,8 @@ def test_traced_blocked_eval_chunk_is_one_span_counting_every_sequence(monkeypat
     tokens = Rng(7).integers(0, CFG.vocab_size, size=(5, 6))
     monkeypatch.setattr(model, "BLOCK_BUDGET", 1)
     # per block: token and position rows, then the last layer's query and
-    # residual row gathers, and with one position a gather of the logits
-    # that drops the neighbour row carried along with it
-    for positions, gathers in ((None, 2), ([2, 5], 4), ([5], 5)):
+    # residual row gathers, with one position as with two
+    for positions, gathers in ((None, 2), ([2, 5], 4), ([5], 4)):
         spans = tracer.Tracer()
         spans.install()
         try:

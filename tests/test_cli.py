@@ -244,6 +244,79 @@ def test_eval_artifact_with_mis_shaped_rows_exit5(trained, artifact, capsys, lin
     assert f"{artifact}: {message}" in capsys.readouterr().err
 
 
+@pytest.fixture
+def fresh_ckpt(config_path, tmp_path):
+    """An untrained checkpoint of the small config, whose vocab is 32."""
+    spec = load_config(config_path)
+    path = tmp_path / "fresh.ckpt"
+    save_checkpoint(path, init_params(spec.model, Rng(0)), spec.train, seed=0, epoch=0)
+    return path
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--samples", "999"], "--samples"),
+    (["--samples", "1024"], "--samples"),  # given at its by-flags default too
+    (["--task", "copy", "--seq-len", "10"], "--task, --seq-len"),
+    (["--vocab-size", "32", "--task-seed", "3"], "--task-seed, --vocab-size"),
+])
+def test_eval_data_with_task_flags_exit2_names_them(fresh_ckpt, artifact, capsys, flags, named):
+    # an artifact carries its task; a task flag beside it would be dropped
+    assert main(["eval", str(fresh_ckpt), "--data", str(artifact), *flags]) == 2
+    assert f"--data takes no task flags, got {named}" in capsys.readouterr().err
+
+
+def test_by_flags_tasks_default_to_1024_samples(tmp_path):
+    art = tmp_path / "copy.ds"
+    assert main(["gen-data", "--task", "copy", "--seq-len", "10", "--out", str(art)]) == 0
+    assert load_dataset(art)[1].samples == 1024
+    args = build_parser().parse_args(["eval", "x.ckpt", "--task", "copy", "--seq-len", "10"])
+    assert _task_from_flags(args).samples == 1024
+
+
+@pytest.mark.parametrize("gen,line,edited,message", [
+    ("copy", b"task.samples 20\n", b"task.samples 500\n",
+     "header task.samples 500 and task.seq_len 10 disagree with the 20 x 10 tokens"),
+    ("copy", b"task.seq_len 10\n", b"task.seq_len 12\n",
+     "header task.samples 20 and task.seq_len 12 disagree with the 20 x 10 tokens"),
+    ("kv_recall", b"task.distances 4,6\n", b"task.distances 4\n",
+     "meta must give each row one of task.distances (4,)"),
+])
+def test_eval_artifact_whose_header_disagrees_with_its_arrays_exit5(
+    fresh_ckpt, tmp_path, capsys, gen, line, edited, message
+):
+    art = tmp_path / f"{gen}.ds"
+    task = ["--seq-len", "10"] if gen == "copy" else ["--distances", "4,6"]
+    assert main(["gen-data", "--task", gen, *task, "--vocab-size", "32", "--samples", "20",
+                 "--out", str(art)]) == 0
+    blob = art.read_bytes()
+    assert blob.count(line) == 1
+    art.write_bytes(blob.replace(line, edited))
+    assert main(["eval", str(fresh_ckpt), "--data", str(art)]) == 5
+    assert f"corrupt checkpoint: {art}: {message}" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_with_non_utf8_header_exit5(fresh_ckpt, capsys):
+    blob = fresh_ckpt.read_bytes()
+    assert blob.count(b"kind checkpoint\n") == 1
+    fresh_ckpt.write_bytes(blob.replace(b"kind checkpoint\n", b"kind check\xffpoint\n"))
+    rc = main(["eval", str(fresh_ckpt), "--task", "copy", "--seq-len", "10", "--samples", "8"])
+    assert rc == 5
+    assert f"corrupt checkpoint: {fresh_ckpt}: header is not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["seed", "epoch"])
+def test_eval_checkpoint_with_non_integer_seed_or_epoch_exit5(fresh_ckpt, capsys, key):
+    blob = fresh_ckpt.read_bytes()
+    line = f"\n{key} 0\n".encode()
+    assert blob.count(line) == 1
+    fresh_ckpt.write_bytes(blob.replace(line, f"\n{key} 0.5\n".encode()))
+    rc = main(["eval", str(fresh_ckpt), "--task", "copy", "--seq-len", "10", "--samples", "8"])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert f"corrupt checkpoint: {fresh_ckpt}: bad or missing header seed/epoch" in err
+    assert "'0.5'" in err
+
+
 def test_eval_artifact_with_token_past_vocab_exit5(trained, artifact, capsys):
     batch, spec, layout = load_dataset(artifact)
     batch.tokens[3, 0] = layout.vocab_size

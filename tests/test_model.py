@@ -1,6 +1,7 @@
 """Model composition: init census, gate semantics, causality, gradient flow."""
 
 import hashlib
+import itertools
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -436,6 +437,11 @@ def test_a_key_the_softmax_drops_still_raises():
 # --------------------------------------------------------------------------
 
 
+README_MODEL = ModelConfig(
+    vocab_size=64, d_model=64, n_heads=4, n_layers=2, d_ff=256, max_seq_len=40
+)
+
+
 def _block_sizes(monkeypatch):
     """The sequences per _forward_body call, filled in as forwards run."""
     sizes = []
@@ -451,22 +457,25 @@ def _block_sizes(monkeypatch):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_blocked_forward_batch_is_bitwise_one_pass(monkeypatch, dtype):
-    # uneven tails, and many one-token sequences, whose 1-row blocks would
-    # take gemv; every budget against the whole batch run once, checked
-    params = tiny_params(seed=50, dtype=dtype)
+    # uneven tails, and many one-token sequences, whose one-row blocks run
+    # every matmul on one row; every budget against the whole batch run
+    # once, checked, and each sequence run alone through forward
     sizes = _block_sizes(monkeypatch)
-    for mode in (GateMode.LEARNED, GateMode.DISABLED):
-        p = params.with_gate_mode(mode)
+    for cfg, mode in itertools.product((TINY, README_MODEL), (GateMode.LEARNED, GateMode.DISABLED)):
+        p = init_params(cfg, nc.Rng(50), dtype=dtype).with_gate_mode(mode)
         for n_seqs, n in ((7, 8), (33, 5), (40, 1), (5, 1), (2, 1), (1, 1)):
-            tokens = nc.Rng(n_seqs * n).integers(0, TINY.vocab_size, size=(n_seqs, n))
+            tokens = nc.Rng(n_seqs * n).integers(0, cfg.vocab_size, size=(n_seqs, n))
             want = _forward_body(p, tokens, mode, None, False, None)[0].data
+            for b in range(n_seqs):
+                alone = forward(p, tokens[b])[0].data
+                case = (cfg.d_model, mode, n_seqs, n, b)
+                assert alone.tobytes() == want[b * n : (b + 1) * n].tobytes(), case
             for budget in (1, 1000, 4000, 1 << 30):
                 monkeypatch.setattr(model, "BLOCK_BUDGET", budget)
                 sizes.clear()
                 got = forward_batch(p, tokens).data
-                assert got.tobytes() == want.tobytes(), (mode, n_seqs, n, budget)
+                assert got.tobytes() == want.tobytes(), (cfg.d_model, mode, n_seqs, n, budget)
                 assert sum(sizes) == n_seqs and max(sizes) - min(sizes) <= 1
-                assert min(sizes) * n >= 2 or n_seqs * n == 1
                 if budget == 1 and n_seqs > 3:
                     assert len(sizes) > 1
             # a recording forward runs whole, whatever the budget
@@ -502,18 +511,13 @@ def test_blocked_forward_faults_like_the_checked_one_pass(monkeypatch, dtype):
 # positions-limited forward
 # --------------------------------------------------------------------------
 
-README_MODEL = ModelConfig(
-    vocab_size=64, d_model=64, n_heads=4, n_layers=2, d_ff=256, max_seq_len=40
-)
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_positions_limited_logits_are_the_full_forwards_rows(monkeypatch, dtype):
     cases = (
         (64, 40, [39], (1, 512 * 1024)),  # a kv_recall eval chunk; 1 byte: 64 one-row blocks
         (64, 34, range(17, 33), (1, 512 * 1024)),  # a copy chunk's scored columns
         (7, 40, [0, 9, 39], (1, 40_000, 100_000, 1 << 30)),  # uneven blocks
-        (1, 40, [39], (1, 1 << 30)),  # one row, which would take gemv
+        (1, 40, [39], (1, 1 << 30)),  # one row: every last-layer product on one row
         (1, 40, [0], (1, 1 << 30)),
         (2, 40, [39], (1, 1 << 30)),
         (5, 1, [0], (1, 1 << 30)),  # one-token sequences
@@ -600,12 +604,12 @@ def test_positions_limited_forward_runs_the_last_layer_on_the_selected_rows():
     ]
     assert [rows for _, rows in ops[first:]] == [12, 12, 32, 32] + [12] * (len(ops) - first - 4)
     assert limited.n_ops == full.n_ops + 2
-    # one position carries a neighbour row to the logits, then drops it
+    # one position runs on its own row alone, to the logits
     one = nc.GradGraph()
     forward_batch(params, tokens, graph=one, positions=[5])
     tail = [(vjp.__qualname__.split(".")[0], out.rows) for out, _, vjp in one._records][-3:]
-    assert tail == [("layer_norm", 8), ("matmul", 8), ("gather_rows", 4)]
-    assert one.n_ops == full.n_ops + 3
+    assert tail == [("add", 4), ("layer_norm", 4), ("matmul", 4)]
+    assert one.n_ops == full.n_ops + 2
     # positions covering every position run the full forward
     every = nc.GradGraph()
     forward_batch(params, tokens, graph=every, positions=np.arange(8))
@@ -664,8 +668,9 @@ def test_positions_limited_grad_check_float64():
 
 @pytest.mark.parametrize("n_seqs, positions", [(2, [1, 5]), (1, [5])])
 def test_positions_limited_gradients_are_the_masked_full_forwards(n_seqs, positions):
-    # (1, [5]) carries a neighbour row; the sums run in another order, so
-    # the gradients agree to rounding rather than bitwise
+    # the gradient sums run in another order than the masked full forward's,
+    # so they agree to rounding rather than bitwise; (1, [5]) runs the last
+    # layer on one row
     params, limited, masked = _positions_case(n_seqs, positions)
     tensors = [t for _, t in params.named_tensors()]
     g_limited, g_masked = nc.GradGraph(), nc.GradGraph()

@@ -532,9 +532,10 @@ def ref_layer_norm(xd, gd, bd, eps, g):
     return out, (dx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True))
 
 
-def ref_attention(q, k, v, n_heads, n_seqs, causal, g, queries=None):
+def ref_attention(q, k, v, n_heads, n_seqs, causal, g, queries=None, p=None):
     """The attention formula for q at positions queries of each sequence
-    (every position when None), and its vjp for the output gradient g."""
+    (every position when None), and its vjp for the output gradient g, taken
+    at the probabilities p when they are given."""
     total_rows, d = k.shape
     n, dh = total_rows // n_seqs, d // n_heads
     rows = np.arange(n) if queries is None else np.asarray(queries)
@@ -542,14 +543,15 @@ def ref_attention(q, k, v, n_heads, n_seqs, causal, g, queries=None):
     split = lambda t: t.reshape(n_seqs, -1, n_heads, dh).transpose(0, 2, 1, 3)
     merge = lambda t4: np.ascontiguousarray(t4.transpose(0, 2, 1, 3).reshape(-1, d))
     q4, k4, v4, g4 = split(q), split(k), split(v), split(g)
-    scores = (q4 @ k4.transpose(0, 1, 3, 2)) * inv
-    if causal:
-        tril = np.tril(np.ones((n, n), dtype=q.dtype.type))[rows]
-        scores = scores + (1.0 - tril) * nc.MASK_NEG
-    e = np.exp(scores - scores.max(axis=3, keepdims=True))
-    if causal:
-        e = e * tril
-    p = e / e.sum(axis=3, keepdims=True)
+    if p is None:
+        scores = (q4 @ k4.transpose(0, 1, 3, 2)) * inv
+        if causal:
+            tril = np.tril(np.ones((n, n), dtype=q.dtype.type))[rows]
+            scores = scores + (1.0 - tril) * nc.MASK_NEG
+        e = np.exp(scores - scores.max(axis=3, keepdims=True))
+        if causal:
+            e = e * tril
+        p = e / e.sum(axis=3, keepdims=True)
     dp = g4 @ v4.transpose(0, 1, 3, 2)
     ds = p * (dp - (p * dp).sum(axis=3, keepdims=True))
     grads = ((ds @ k4) * inv, (ds.transpose(0, 1, 3, 2) @ q4) * inv, p.transpose(0, 1, 3, 2) @ g4)
@@ -619,27 +621,23 @@ def test_attention_bitwise_against_formula(dtype, causal):
     for got, want in zip(vjp(g), ref_grads):
         assert_bitwise(got, want)
 
-    # query subsets: the formula on those rows, and, from two rows up, the
-    # full formula's rows (numpy hands a 1-row matmul to gemv, whose bits
-    # differ from gemm's, so one row matches only the formula on one row)
+    # query subsets, one row included: the full formula's rows, as no
+    # forward product runs on one row, and the formula's vjp at the same p
     n = 34
     for queries in ([n - 1], [0, n - 1], list(range(9, 21)), list(range(n))):
         rows = (np.arange(n_seqs)[:, None] * n + queries).reshape(-1)
         qs, gs = nc.Tensor2(q.data[rows]), g[rows]
-        want = ref_attention(qs.data, k.data, v.data, n_heads, n_seqs, causal, gs, queries)
         out, vjp = _vjp_of_last_op(lambda graph: nc.multihead_attention(
             qs, k, v, n_heads, n_seqs=n_seqs, causal=causal, graph=graph, queries=queries
         ))
         _, p = nc.multihead_attention(
             qs, k, v, n_heads, n_seqs=n_seqs, causal=causal, want_probs=True, queries=queries
         )
-        assert_bitwise(out.data, want[0])
-        assert_bitwise(p, want[1])
+        assert_bitwise(out.data, ref_out[rows])
+        assert_bitwise(p, np.ascontiguousarray(ref_p[:, :, queries]))
+        want = ref_attention(qs.data, k.data, v.data, n_heads, n_seqs, causal, gs, queries, p)
         for got, ref in zip(vjp(gs), want[2]):
             assert_bitwise(got, ref)
-        if len(queries) > 1:
-            assert_bitwise(out.data, ref_out[rows])
-            assert_bitwise(p, np.ascontiguousarray(ref_p[:, :, queries]))
 
 
 @pytest.mark.parametrize("queries", [[5], [0, 3], [2, 3, 4]])
