@@ -143,6 +143,15 @@ class Batch:
         if live.min() < 0 or live.max() >= vocab_size:
             raise ValueError("masked target outside vocab")
 
+    def scored(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(positions, targets, mask): the P columns where some row's loss
+        mask is set, and the targets and mask there, flat in the row order
+        of forward_batch(positions=)'s [(B*P) x V] logits. Training and
+        evaluation compute logits at these columns only."""
+        positions = np.flatnonzero(self.loss_mask.any(axis=0))
+        return (positions, self.targets[:, positions].reshape(-1),
+                self.loss_mask[:, positions].reshape(-1))
+
     def rows(self, sel) -> "Batch":
         return Batch(
             tokens=self.tokens[sel],

@@ -70,14 +70,14 @@ class LatencyCurve:
 
 
 def _scored_chunks(params: Params, dataset: Batch):
-    """(first row, chunk, P scored positions, [(rows*P) x V] logits) for
-    each EVAL_CHUNK rows that score a position; a chunk scoring none runs
-    no forward."""
+    """(first row, chunk, Batch.scored() of the chunk, [(rows*P) x V]
+    logits) for each EVAL_CHUNK rows that score a position; a chunk scoring
+    none runs no forward."""
     for at in range(0, dataset.n_rows, EVAL_CHUNK):
         chunk = dataset.rows(slice(at, at + EVAL_CHUNK))
-        positions = np.flatnonzero(chunk.loss_mask.any(axis=0))
-        if positions.size:
-            yield at, chunk, positions, forward_batch(params, chunk.tokens, positions=positions).data
+        scored = chunk.scored()
+        if scored[0].size:
+            yield at, chunk, scored, forward_batch(params, chunk.tokens, positions=scored[0]).data
 
 
 def perplexity(params: Params, dataset: Batch) -> float:
@@ -85,9 +85,8 @@ def perplexity(params: Params, dataset: Batch) -> float:
     if dataset.n_rows == 0:
         raise ValueError("empty evaluation stream")
     total, count = 0.0, 0
-    for _, chunk, positions, logits in _scored_chunks(params, dataset):
-        msk = chunk.loss_mask[:, positions].reshape(-1)
-        safe_tgt = np.where(msk, chunk.targets[:, positions].reshape(-1), 0)
+    for _, _, (_, targets, msk), logits in _scored_chunks(params, dataset):
+        safe_tgt = np.where(msk, targets, 0)
         nll, _, _ = _row_nll(logits.astype(np.float64), safe_tgt)
         total += float(nll[msk].sum())
         count += int(msk.sum())
@@ -102,7 +101,7 @@ def greedy_predictions(
     """[B x n] argmax predictions, optionally restricted to a token range,
     at every position some row of its chunk scores; -1 at the others."""
     out = np.full_like(dataset.tokens, -1)
-    for at, chunk, positions, logits in _scored_chunks(params, dataset):
+    for at, chunk, (positions, _, _), logits in _scored_chunks(params, dataset):
         if value_range is not None:
             lo, hi = value_range
             pred = lo + logits[:, lo:hi].argmax(axis=1)

@@ -422,8 +422,11 @@ def gather_rows(table: Tensor2, indices: np.ndarray, graph: GradGraph | None = N
         raise ValueError(f"gather_rows: index out of range [0, {table.rows})")
 
     def vjp(g):
+        # one flat scatter of elements, in the row scatter's order for each
+        # table element, so bitwise np.add.at(dt, idx, g) and several times faster
+        cols = table.cols
         dt = np.zeros_like(table.data)
-        np.add.at(dt, idx, g)
+        np.add.at(dt.reshape(-1), (idx[:, None] * cols + np.arange(cols)).reshape(-1), g.reshape(-1))
         return (dt,)
 
     return _result("gather_rows", table.data[idx], graph, (table,), vjp)

@@ -208,6 +208,11 @@ def save_dataset(path, batch: Batch, spec: TaskSpec, layout: VocabLayout):
 
 
 def load_dataset(path) -> tuple[Batch, TaskSpec, VocabLayout]:
+    """The batch, task and layout of a dataset artifact; CheckpointError names
+    the file when the arrays disagree with the header's task: its samples,
+    seq_len and distances, and for kv_recall its pairs (keys and values in
+    the first 2 * pairs positions, filler up to the query). task.seed cannot
+    be checked from the arrays, as its draws leave no trace in them."""
     pairs, arrays = _read_container(path)
     if pairs.get("kind") != "dataset":
         raise CheckpointError(f"{path}: container kind {pairs.get('kind')!r} is not a dataset")
@@ -227,6 +232,15 @@ def load_dataset(path) -> tuple[Batch, TaskSpec, VocabLayout]:
                              f" disagree with the {batch.n_rows} x {batch.seq_len} tokens")
         if spec.distances and not np.isin(batch.meta, spec.distances).all():
             raise ValueError(f"meta must give each row one of task.distances {spec.distances}")
+        if spec.kind == "kv_recall":
+            m, t = 2 * spec.pairs, batch.tokens
+            keys, values = t[:, 0:m:2], t[:, 1:m:2]
+            if not (((keys >= layout.key_lo) & (keys < layout.key_hi)).all()
+                    and ((values >= layout.value_lo) & (values < layout.value_hi)).all()
+                    and (t[:, m : spec.seq_len - 2] == layout.filler).all()):
+                raise ValueError(f"header task.pairs {spec.pairs} disagrees with the tokens: each row"
+                                 f" needs keys at even and values at odd positions below {m},"
+                                 f" then filler up to position {spec.seq_len - 2}")
     except KeyError as err:  # tokens, targets and loss_mask are required
         raise CheckpointError(f"{path}: tensor {err.args[0]}: missing from manifest") from err
     except ValueError as err:

@@ -164,8 +164,10 @@ def train_epoch(
 ) -> EpochStats:
     """One pass over the batch stream: forward, loss, one backward, one SGD
     step per batch, updating transformer and gate parameters jointly, under
-    params.config's gate mode. on_step(index, total, ce, reg) is called with
-    each step's loss values."""
+    params.config's gate mode. Past the last layer's attention the forward
+    and the loss run only at the columns the batch scores (Batch.scored):
+    the other rows would carry exact-zero gradients back. on_step(index,
+    total, ce, reg) is called with each step's loss values."""
     frozen = params.config.gate_mode != GateMode.LEARNED
     names, tensors = zip(*params.named_tensors())
     totals = np.zeros(3, dtype=np.float64)
@@ -173,11 +175,12 @@ def train_epoch(
     for index, batch in enumerate(batch_stream):
         try:
             graph = GradGraph()
-            logits = forward_batch(params, batch.tokens, graph=graph)
+            positions, targets, mask = batch.scored()
+            logits = forward_batch(params, batch.tokens, graph=graph, positions=positions)
             total, ce, reg = loss(
                 logits,
-                batch.targets.reshape(-1),
-                batch.loss_mask.reshape(-1),
+                targets,
+                mask,
                 params.synaptic(),
                 config.reg_weight,
                 graph=graph,

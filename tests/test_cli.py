@@ -280,6 +280,9 @@ def test_by_flags_tasks_default_to_1024_samples(tmp_path):
      "header task.samples 20 and task.seq_len 12 disagree with the 20 x 10 tokens"),
     ("kv_recall", b"task.distances 4,6\n", b"task.distances 4\n",
      "meta must give each row one of task.distances (4,)"),
+    ("kv_recall", b"task.pairs 2\n", b"task.pairs 3\n",
+     "header task.pairs 3 disagrees with the tokens: each row needs keys at even and values at"
+     " odd positions below 6, then filler up to position 6"),
 ])
 def test_eval_artifact_whose_header_disagrees_with_its_arrays_exit5(
     fresh_ckpt, tmp_path, capsys, gen, line, edited, message

@@ -691,6 +691,22 @@ def test_tiled_position_gradient_matches_add_at(dtype):
     assert_bitwise(dtable, want)
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_gather_rows_vjp_bitwise_against_row_scatter(dtype):
+    # the flat element scatter against np.add.at over whole rows, with
+    # repeated indices, and with an output gradient in Fortran order
+    table = rnd(64, 48, seed=56, dtype=dtype)
+    idx = nc.Rng(57).integers(0, 64, size=1088)
+    g = rnd(1088, 48, seed=58, dtype=dtype).data
+    out, vjp = _vjp_of_last_op(lambda graph: nc.gather_rows(table, idx, graph))
+    assert_bitwise(out.data, table.data[idx])
+    want = np.zeros_like(table.data)
+    np.add.at(want, idx, g)
+    for grad in (g, np.asfortranarray(g)):
+        (got,) = vjp(grad)
+        assert_bitwise(got, want)
+
+
 def test_add_row_block_must_tile_rows():
     with pytest.raises(nc.DimensionError):
         nc.add_row(nc.zeros(6, 4), nc.zeros(4, 4))

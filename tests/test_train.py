@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from synres import numcore as nc
-from synres.datagen import TaskSpec, VocabLayout, gen_copy, batches, build_task_data
+from synres import train as train_module
+from synres.datagen import Batch, TaskSpec, VocabLayout, gen_copy, gen_kv_recall, batches, build_task_data
 from synres.model import GateMode, ModelConfig, forward_batch, init_params
 from synres.train import (
     EpochReport,
@@ -226,6 +227,125 @@ def test_epoch_copy_task_beats_uniform():
     params = init_params(cfg, nc.Rng(0))
     stats = train_epoch(params, batches(ds, 32, nc.Rng(2)), tc, lr=1.0)
     assert stats.mean_ce < np.log(64)
+
+
+# --------------------------------------------------------------------------
+# a train step runs past the last layer's attention at the scored rows only
+# --------------------------------------------------------------------------
+
+README_MODEL = ModelConfig(vocab_size=64, d_model=64, n_heads=4, n_layers=2, d_ff=256, max_seq_len=40)
+# the last layer's weight-gradient products a^T @ g sum over B*P rows instead
+# of B*n, and the BLAS splits that sum differently; they may differ from the
+# full-row step by this fraction of each tensor's max |g| (seen: 5.4e-7 and
+# 1.1e-15). At the README widths every other copy-task gradient is bitwise.
+ROW_SUM_PRODUCTS = ("layer1.w_q", "layer1.w_o", "layer1.w_s", "layer1.ffn_w1", "layer1.ffn_w2",
+                    "unembed")
+ROW_SUM_TOLERANCE = {np.float32: 1e-6, np.float64: 4e-15}
+
+
+def _full_row_step(params, batch, reg_weight, graph):
+    """The loss over every row of the batch, as training computed it before
+    it ran at the scored rows: (logits, total)."""
+    logits = forward_batch(params, batch.tokens, graph=graph)
+    total, _, _ = loss(logits, batch.targets.reshape(-1), batch.loss_mask.reshape(-1),
+                       params.synaptic(), reg_weight, graph=graph,
+                       synaptic_frozen=params.config.gate_mode != GateMode.LEARNED)
+    return logits, total
+
+
+def _train_epoch_step(monkeypatch, params, batch, reg_weight, graph=None):
+    """train_epoch's one step on batch at lr 0, recorded on graph when given:
+    the logits and loss it built and the gradients it handed to sgd_step."""
+    seen = {}
+
+    def spy_loss(logits, *args, **kwargs):
+        out = loss(logits, *args, **kwargs)
+        seen["logits"], seen["total"] = logits, out[0]
+        return out
+
+    def spy_sgd(params, grads, lr, grad_clip=None):
+        seen["grads"] = grads
+        return sgd_step(params, grads, lr, grad_clip)
+
+    monkeypatch.setattr(train_module, "loss", spy_loss)
+    monkeypatch.setattr(train_module, "sgd_step", spy_sgd)
+    if graph is not None:
+        monkeypatch.setattr(train_module, "GradGraph", lambda: graph)
+    tc = TrainConfig(epochs=1, batch_size=batch.n_rows, reg_weight=reg_weight)
+    train_epoch(params, [batch], tc, lr=0.0)
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("task", ["copy", "kv_recall"])
+def test_train_step_on_scored_rows_against_the_full_row_step(monkeypatch, task, dtype):
+    layout = VocabLayout.synthetic(64)
+    if task == "copy":  # 16 of 34 columns scored
+        batch = gen_copy(TaskSpec(kind="copy", seq_len=34, samples=32, seed=1), layout, nc.Rng(1))
+        bitwise_grads = True
+    else:  # 1 of 40: the last layer's vjps run on 32 rows, which this OpenBLAS
+        # multiplies with another kernel than 1,280 rows, so every gradient
+        # that flows back through them rounds differently
+        batch = gen_kv_recall(TaskSpec.kv_recall((16, 32, 38), samples=32, seed=1), layout,
+                              nc.Rng(1))
+        bitwise_grads = False
+    positions = batch.scored()[0]
+    base = init_params(README_MODEL, nc.Rng(4), dtype=dtype)
+    for mode in GateMode:
+        params = base.with_gate_mode(mode)
+        step = _train_epoch_step(monkeypatch, params, batch, 1e-4)
+        graph = nc.GradGraph()
+        logits, total = _full_row_step(params, batch, 1e-4, graph)
+        names, tensors = zip(*params.named_tensors())
+        want = dict(zip(names, nc.backward(graph, total, tensors)))
+        full = logits.data.reshape(batch.n_rows, batch.seq_len, -1)[:, positions]
+        assert step["logits"].data.tobytes() == full.reshape(step["logits"].shape).tobytes(), mode
+        assert step["total"].data.tobytes() == total.data.tobytes(), mode
+        for name in names:
+            got = step["grads"][name]
+            if bitwise_grads and name not in ROW_SUM_PRODUCTS:
+                assert got.tobytes() == want[name].tobytes(), (mode, name)
+            else:
+                scale = np.abs(want[name]).max()
+                assert np.abs(got - want[name]).max() <= ROW_SUM_TOLERANCE[dtype] * scale, (mode, name)
+
+
+GRAD_CHECK_MODEL = ModelConfig(vocab_size=7, d_model=4, n_heads=2, n_layers=2, d_ff=8, max_seq_len=6)
+
+
+@pytest.mark.parametrize("mode", list(GateMode), ids=[m.value for m in GateMode])
+@pytest.mark.parametrize("scored", [[[5], [5]], [[1], [4]]], ids=["one", "two"])
+def test_train_epoch_grad_check_float64(monkeypatch, mode, scored):
+    # the gradients train_epoch takes at the scored rows against finite
+    # differences of the loss over every row, so a scored column the step
+    # drops loses its share of the gradient and fails the check; with two
+    # kept positions each row scores one of them
+    params = init_params(GRAD_CHECK_MODEL, nc.Rng(15), dtype=np.float64).with_gate_mode(mode)
+    for _, t in params.named_tensors():
+        if t.rows > 1:  # lifts attention's gradients above finite-difference noise
+            t.data *= 10.0
+    rng = np.random.default_rng(0)
+    tokens = rng.integers(0, GRAD_CHECK_MODEL.vocab_size, size=(2, 6))
+    mask = np.zeros(tokens.shape, dtype=bool)
+    for row, columns in enumerate(scored):
+        mask[row, columns] = True
+    targets = rng.integers(0, GRAD_CHECK_MODEL.vocab_size, size=tokens.shape)
+    batch = Batch(tokens=tokens, targets=targets, loss_mask=mask)
+    assert batch.scored()[0].tolist() == sorted({c for cs in scored for c in cs})
+
+    def fn(inputs, graph):
+        if graph is None:
+            return _full_row_step(params, batch, 1e-3, None)[1]
+        step = _train_epoch_step(monkeypatch, params, batch, 1e-3, graph)
+        assert step["logits"].rows == 2 * batch.scored()[0].size
+        return step["total"]
+
+    # a frozen gate's regularizer is a constant of the graph, not of w_s
+    inputs = [t for name, t in params.named_tensors()
+              if mode == GateMode.LEARNED or not name.endswith("w_s")]
+    err = nc.grad_check(fn, inputs, eps=1e-5)
+    assert err < 1e-5, f"train_epoch 64-bit rel error {err}"
 
 
 # --------------------------------------------------------------------------
