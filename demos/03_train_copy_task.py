@@ -26,7 +26,7 @@ print(f"{'epoch':>5} {'loss':>8} {'ce':>8} {'val ppl':>9} {'lr':>7}")
 
 result = run_training(
     model_cfg, train_cfg, data,
-    metrics_sink=lambda r: print(
+    on_epoch=lambda _, r: print(
         f"{r.epoch:>5} {r.mean_loss:>8.4f} {r.mean_ce:>8.4f} {r.val_ppl:>9.3f} {r.lr:>7.4f}"
     ),
 )

@@ -146,7 +146,8 @@ def cmd_train(args) -> int:
 
     with MetricsSink(out / "metrics.csv") as sink:
 
-        def emit_metrics(rep):
+        def on_epoch(params, rep):
+            nonlocal best_ppl
             for phase, metric, value in (
                 ("train", "loss", rep.mean_loss),
                 ("train", "ce", rep.mean_ce),
@@ -159,19 +160,12 @@ def cmd_train(args) -> int:
                     run_id=run_id, epoch=rep.epoch, phase=phase, metric=metric,
                     value=value, gate_mode=mode, seed=train_cfg.seed, wall_ms=rep.wall_ms,
                 ))
-
-        def on_epoch(params, rep):
-            nonlocal best_ppl
             save_checkpoint(out / "last.ckpt", params, train_cfg, train_cfg.seed, rep.epoch)
             if rep.val_ppl < best_ppl:
                 best_ppl = rep.val_ppl
                 save_checkpoint(out / "best.ckpt", params, train_cfg, train_cfg.seed, rep.epoch)
 
-        run_training(
-            model_cfg, train_cfg, data,
-            metrics_sink=emit_metrics, on_epoch=on_epoch,
-            dtype=_dtype_of(args.precision),
-        )
+        run_training(model_cfg, train_cfg, data, on_epoch=on_epoch, dtype=_dtype_of(args.precision))
     return 0
 
 
@@ -180,7 +174,15 @@ def cmd_train(args) -> int:
 # --------------------------------------------------------------------------
 
 
+EVAL_METRICS = ("perplexity", "retention", "noise", "coherence")
+
+
 def cmd_eval(args) -> int:
+    wanted = set(EVAL_METRICS) if args.metrics == "all" else set(args.metrics.split(","))
+    unknown = sorted(wanted.difference(EVAL_METRICS))
+    if unknown:
+        raise ConfigError(f"--metrics: unknown {', '.join(unknown)}; "
+                          f"expected all or a comma list of {','.join(EVAL_METRICS)}")
     ckpt = load_checkpoint(args.checkpoint)
     params = ckpt.params
     if args.precision is not None:
@@ -201,9 +203,6 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"dataset vocab {layout.vocab_size} != model vocab {params.config.vocab_size}"
         )
-    wanted = set(args.metrics.split(",")) if args.metrics != "all" else {
-        "perplexity", "retention", "noise", "coherence"
-    }
     # keyed by content, so one checkpoint at two paths gives one eval.csv body
     ckpt_digest = hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest()
     run_id = _run_id("eval", ckpt_digest, task, mode.value, args.seed)
@@ -311,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_task_flags(p_eval)
     p_eval.add_argument("--noise-levels", type=_int_list, default=DEFAULT_NOISE_LEVELS)
     p_eval.add_argument("--metrics", default="all",
-                        help="comma list of perplexity,retention,noise,coherence")
+                        help=f"all, or a comma list of {','.join(EVAL_METRICS)}")
     p_eval.add_argument("--gate-mode", choices=[m.value for m in GateMode],
                         help="evaluate the checkpoint's weights under this gate mode")
     p_eval.add_argument("--seed", type=int, default=0, help="noise evaluation seed")

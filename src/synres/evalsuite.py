@@ -283,9 +283,9 @@ def ablate(
     arms = {}
     for gate_mode in (GateMode.LEARNED, GateMode.DISABLED):
         arm_config = replace(model_config, gate_mode=gate_mode)
-        sink = (lambda rep, m=gate_mode: metrics_sink(m, rep)) if metrics_sink else None
+        on_epoch = (lambda _, rep, m=gate_mode: metrics_sink(m, rep)) if metrics_sink else None
         result = run_training(
-            arm_config, train_config, data, metrics_sink=sink, init=init.copy(), dtype=dtype
+            arm_config, train_config, data, on_epoch=on_epoch, init=init.copy(), dtype=dtype
         )
         retention = None
         if data[1].meta is not None:

@@ -224,18 +224,6 @@ class ActivationTrace:
                 raise AssertionError(f"layer {i}: o != a * r beyond {atol}")
 
 
-def _attention(x, layer, n_heads, n_seqs, graph, queries=None, rows=None):
-    """Causal multi-head self-attention: per head, softmax of the masked
-    q k^T / sqrt(d/n_heads) applied to v; heads concatenated. The caller
-    projects the result by w_o into the output a that feeds the gate.
-    With queries, only the rows of x at those positions of each sequence
-    (rows, flat) ask; keys and values still cover every position."""
-    q = nc.matmul(x if rows is None else nc.gather_rows(x, rows, graph), layer.w_q, graph)
-    k = nc.matmul(x, layer.w_k, graph)
-    v = nc.matmul(x, layer.w_v, graph)
-    return nc.multihead_attention(q, k, v, n_heads, n_seqs=n_seqs, graph=graph, queries=queries)
-
-
 def resonance_gate(
     a: Tensor2,
     w_s: Tensor2,
@@ -327,12 +315,18 @@ def _forward_body(params, tokens, mode, positions, want_trace, graph):
     last = params.layers[-1]
     for layer in params.layers:
         h = nc.layer_norm(x, layer.ln1_gain, layer.ln1_bias, graph)
-        if rows is not None and layer is last:
-            core = _attention(h, layer, params.config.n_heads, n_seqs, graph, positions, rows)
-            # every op from here on is local to a row
+        # causal self-attention, projected by w_o into the output a that the
+        # gate reads; with positions, the last layer's queries are those rows
+        # of each sequence alone, while keys and values cover every position
+        queries = positions if layer is last else None
+        core = nc.multihead_attention(
+            nc.matmul(h if queries is None else nc.gather_rows(h, rows, graph), layer.w_q, graph),
+            nc.matmul(h, layer.w_k, graph),
+            nc.matmul(h, layer.w_v, graph),
+            params.config.n_heads, n_seqs, graph, queries=queries,
+        )
+        if queries is not None:  # every op from here on is local to a row
             x = nc.gather_rows(x, rows, graph)
-        else:
-            core = _attention(h, layer, params.config.n_heads, n_seqs, graph)
         a = nc.matmul(core, layer.w_o, graph)
         r, o = resonance_gate(a, layer.w_s, mode, graph)
         if trace is not None:

@@ -6,7 +6,8 @@ through _result, which raises NumericError naming the op on a non-finite
 output, wraps it in a Tensor2 and, given a GradGraph, records the op's vjp.
 Under run_deferred a whole forward enters errstate once and checks only its
 result, replaying bitwise with every op checked to name the op that failed.
-backward(graph, loss, wrt) returns the gradients of wrt; tensors hold none.
+backward(graph, loss, wrt) returns the gradients of wrt, its sweep also under
+one errstate; tensors hold none.
 float32 is the training precision; float64 is used for gradient verification.
 """
 
@@ -19,7 +20,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-MASK_NEG = -1e9  # additive score mask; exp(MASK_NEG - rowmax) underflows to exactly 0.0
 LN_EPS = 1e-5  # layer_norm's variance floor
 
 
@@ -180,31 +180,34 @@ def backward(graph: GradGraph, loss: Tensor2, wrt: Sequence[Tensor2]) -> list[np
 
     Gradients accumulate additively across fan-out, in reverse tape order. A
     tensor with no path to the loss gets an exact-zero gradient. A tensor
-    listed twice gets the same array twice.
+    listed twice gets the same array twice. The sweep runs under one
+    errstate, so an overflowing gradient is returned as inf without a numpy
+    warning; the caller checks it (sgd_step names the tensor).
     """
     if loss.shape != (1, 1):
         raise DimensionError(f"backward root must be a 1x1 scalar, got {loss.shape}")
     wanted = {id(t) for t in wrt}
     grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1), dtype=loss.dtype)}
-    for out, inputs, vjp in reversed(graph._records):
-        # a gradient is dropped once its vjp has used it, unless asked for
-        g = grads.pop(id(out), None)
-        if g is None:
-            continue
-        if id(out) in wanted:
-            # kept apart: a vjp may hand g on as an input's gradient, and
-            # that one accumulates in place below
-            grads[id(out)] = g.copy()
-        # in-place accumulation below relies on vjps never returning one
-        # array object for two input slots
-        for t, ig in zip(inputs, vjp(g)):
-            if ig is None:
+    with np.errstate(all="ignore"):
+        for out, inputs, vjp in reversed(graph._records):
+            # a gradient is dropped once its vjp has used it, unless asked for
+            g = grads.pop(id(out), None)
+            if g is None:
                 continue
-            acc = grads.get(id(t))
-            if acc is None:
-                grads[id(t)] = ig
-            else:
-                np.add(acc, ig, out=acc)
+            if id(out) in wanted:
+                # kept apart: a vjp may hand g on as an input's gradient, and
+                # that one accumulates in place below
+                grads[id(out)] = g.copy()
+            # in-place accumulation below relies on vjps never returning one
+            # array object for two input slots
+            for t, ig in zip(inputs, vjp(g)):
+                if ig is None:
+                    continue
+                acc = grads.get(id(t))
+                if acc is None:
+                    grads[id(t)] = ig
+                else:
+                    np.add(acc, ig, out=acc)
     return [grads[id(t)] if id(t) in grads else np.zeros_like(t.data) for t in wrt]
 
 
@@ -433,12 +436,12 @@ def gather_rows(table: Tensor2, indices: np.ndarray, graph: GradGraph | None = N
 
 
 @functools.lru_cache(maxsize=64)
-def _causal_mask(n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only n x n lower-triangular ones and additive mask (1 - tril) * MASK_NEG."""
-    tril = np.tril(np.ones((n, n), dtype=dtype))
-    neg = (1.0 - tril) * MASK_NEG
-    tril.flags.writeable = neg.flags.writeable = False
-    return tril, neg
+def _causal_mask(n: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only n x n additive score mask: 0 on and below the diagonal, -inf
+    above, so exp gives the future positions a weight of exactly 0."""
+    neg = np.triu(np.full((n, n), -np.inf, dtype=dtype), 1)
+    neg.flags.writeable = False
+    return neg
 
 
 def _row_nll(x: np.ndarray, targets: np.ndarray):
@@ -494,28 +497,24 @@ def multihead_attention(
     v: Tensor2,
     n_heads: int,
     n_seqs: int = 1,
-    causal: bool = True,
     graph: GradGraph | None = None,
-    want_probs: bool = False,
     *,
     queries: np.ndarray | None = None,
-):
-    """Fused scaled-dot-product attention over n_seqs stacked sequences.
+) -> Tensor2:
+    """Fused causal scaled-dot-product attention over n_seqs stacked sequences.
 
     k and v are [(n_seqs*n) x d]; each sequence block attends within itself,
-    per head, with scores scaled by 1/sqrt(d/n_heads). Causal masking zeroes
-    the weight on future positions exactly (additive -1e9 before softmax,
-    then a hard zero on the strict upper triangle), so earlier rows are
-    bitwise independent of later tokens. Hand-written vjp, covered by the
-    finite-difference checks.
+    per head, with scores scaled by 1/sqrt(d/n_heads). A -inf added to every
+    score of a future position gives it a weight of exactly 0, so earlier
+    rows are bitwise independent of later tokens, however far apart the
+    scores are. Hand-written vjp, covered by the finite-difference checks.
 
     queries, sorted positions within [0, n), names the P query rows of each
     sequence that q holds, so q is [(n_seqs*P) x d] and only those rows of
     the scores and softmax are computed, each as in the full attention;
     None means every position, with q shaped as k.
 
-    Returns the [(n_seqs*P) x d] head-concatenated output, plus the
-    attention probabilities [n_seqs, n_heads, P, n] when want_probs is set.
+    Returns the [(n_seqs*P) x d] head-concatenated output.
     """
     if k.shape != v.shape or q.cols != k.cols:
         raise DimensionError("multihead_attention: q/k/v shapes differ")
@@ -542,15 +541,10 @@ def multihead_attention(
     # the softmax runs in place on one score buffer, which becomes p
     p = _mm(q4, k4.transpose(0, 1, 3, 2))
     p *= inv
-    if causal:
-        tril, neg = _causal_mask(n, q.dtype)
-        if queries is not None:
-            tril, neg = tril[queries], neg[queries]
-        p += neg
+    neg = _causal_mask(n, q.dtype)
+    p += neg if queries is None else neg[queries]
     p -= p.max(axis=3, keepdims=True)
     np.exp(p, out=p)
-    if causal:
-        p *= tril
     p /= p.sum(axis=3, keepdims=True)
 
     def merge(t4):  # [S, h, m, dh] -> [(S*m) x d]
@@ -568,8 +562,7 @@ def multihead_attention(
         dk4 *= inv
         return merge(dq4), merge(dk4), merge(dv4)
 
-    out = _result("multihead_attention", merge(_mm(p, v4)), graph, (q, k, v), vjp)
-    return (out, p) if want_probs else out
+    return _result("multihead_attention", merge(_mm(p, v4)), graph, (q, k, v), vjp)
 
 
 def grad_check(

@@ -252,11 +252,10 @@ def load_dataset(path) -> tuple[Batch, TaskSpec, VocabLayout]:
 # metrics CSV
 # --------------------------------------------------------------------------
 
-METRICS_COLUMNS = ("run_id", "epoch", "phase", "metric", "value", "gate_mode", "seed", "wall_ms")
-
-
 @dataclass
 class MetricsRow:
+    """One metrics CSV line; the fields, in order, are its columns."""
+
     run_id: str
     epoch: int
     phase: str  # train | val | eval
@@ -267,10 +266,14 @@ class MetricsRow:
     wall_ms: float
 
     def as_csv(self) -> str:
+        # annotations are strings here (from __future__ import annotations)
         return ",".join(
-            [self.run_id, str(self.epoch), self.phase, self.metric, repr(float(self.value)),
-             self.gate_mode, str(self.seed), repr(float(self.wall_ms))]
+            repr(float(getattr(self, f.name))) if f.type == "float" else str(getattr(self, f.name))
+            for f in dataclass_fields(self)
         )
+
+
+METRICS_COLUMNS = tuple(f.name for f in dataclass_fields(MetricsRow))
 
 
 class MetricsSink:

@@ -224,14 +224,13 @@ def run_training(
     model_config: ModelConfig,
     train_config: TrainConfig,
     data: tuple[Batch, Batch],
-    metrics_sink=None,
     on_epoch=None,
     init: Params | None = None,
     dtype=np.float32,
 ) -> TrainResult:
     """Full training: per epoch, one train pass, validation perplexity, and
-    the decay check. Emits an EpochReport per epoch to metrics_sink and calls
-    on_epoch(params, report) after each. Deterministic given configs and seeds.
+    the decay check. Calls on_epoch(params, report) with each epoch's
+    EpochReport. Deterministic given configs and seeds.
 
     init, when given, is trained in place under model_config's gate mode; its
     architecture must match model_config's, or ValueError is raised."""
@@ -271,8 +270,6 @@ def run_training(
             wall_ms=(time.perf_counter() - started) * 1000.0,
         )
         history.append(report)
-        if metrics_sink is not None:
-            metrics_sink(report)
         if on_epoch is not None:
             on_epoch(params, report)
     return TrainResult(params=params, history=history, stream_digest=digest.hexdigest())

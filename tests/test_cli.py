@@ -10,7 +10,7 @@ import pytest
 
 from synres.cli import _task_from_flags, build_parser, main
 from synres.datagen import TaskSpec
-from synres.evalsuite import noise_robustness, perplexity, retention_probe
+from synres.evalsuite import DEFAULT_NOISE_LEVELS, noise_robustness, perplexity, retention_probe
 from synres.model import GateMode, ModelConfig, count_flops, init_params
 from synres.numcore import Rng, Tensor2, randn
 from synres.persist import load_checkpoint, load_dataset, load_config, save_checkpoint, save_dataset
@@ -181,6 +181,16 @@ def test_eval_noise_levels_flag(trained, tmp_path):
     for level in (0, 10, 20, 30):
         assert f"error_rate_at_noise_{level}" in text
     assert "perplexity" in text
+
+
+def test_eval_metrics_flag_rejects_unknown_names(trained, tmp_path, capsys):
+    args = ["eval", str(trained), "--task", "kv_recall", "--distances", "4,6", "--samples", "24"]
+    assert main(args + ["--metrics", "perplxity,noise,coherance"]) == 2
+    assert "--metrics: unknown coherance, perplxity" in capsys.readouterr().err
+    out = tmp_path / "picked"
+    assert main(args + ["--metrics", "perplexity,noise", "--out", str(out)]) == 0
+    metrics = [line.split(",")[3] for line in (out / "eval.csv").read_text().splitlines()[1:]]
+    assert metrics == ["perplexity"] + [f"error_rate_at_noise_{lv}" for lv in DEFAULT_NOISE_LEVELS]
 
 
 def test_eval_deterministic(trained, tmp_path):

@@ -153,30 +153,33 @@ def test_init_params_bits_pinned(key):
 # --------------------------------------------------------------------------
 
 
-def attend(x, layer, causal=True):
+def attend(x, layer, v=None):
     """A layer's self-attention over one sequence: the w_o-projected output
-    and the [1, n_heads, n, n] attention weights."""
-    q, k, v = (nc.matmul(x, w) for w in (layer.w_q, layer.w_k, layer.w_v))
-    core, probs = nc.multihead_attention(q, k, v, n_heads=2, causal=causal, want_probs=True)
-    return nc.matmul(core, layer.w_o), probs
+    and the head outputs before it; v, when given, replaces x's values."""
+    q, k = nc.matmul(x, layer.w_q), nc.matmul(x, layer.w_k)
+    core = nc.multihead_attention(q, k, nc.matmul(x, layer.w_v) if v is None else v, n_heads=2)
+    return nc.matmul(core, layer.w_o), core
 
 
 def test_attention_single_token():
     params = tiny_params(seed=1)
     layer = params.layers[0]
     x = nc.Tensor2(nc.Rng(9).normal(1, 8, 1.0))
-    a, probs = attend(x, layer)
-    np.testing.assert_array_equal(probs, np.ones((1, 2, 1, 1)))
+    a, core = attend(x, layer)
+    # a weight of exactly 1 on the one key returns its value row unrounded
+    np.testing.assert_array_equal(core.data, nc.matmul(x, layer.w_v).data)
     v_proj = x.data @ layer.w_v.data
     np.testing.assert_allclose(a.data, v_proj @ layer.w_o.data, rtol=1e-5)
 
 
-def test_attention_uniform_weights_no_mask():
+def test_attention_identical_rows_weigh_visible_keys_equally():
     params = tiny_params(seed=2)
     layer = params.layers[0]
     x = nc.Tensor2(np.tile(nc.Rng(4).normal(1, 8, 1.0), (5, 1)))  # identical rows
-    _, probs = attend(x, layer, causal=False)
-    np.testing.assert_allclose(probs, np.full((1, 2, 5, 5), 0.2), atol=1e-6)
+    # value row j holds j, so weights of 1/(i+1) on keys 0..i give row i the mean i/2
+    v = nc.Tensor2(np.repeat(np.arange(5, dtype=x.dtype)[:, None], 8, axis=1))
+    _, core = attend(x, layer, v)
+    np.testing.assert_allclose(core.data, np.repeat(np.arange(5)[:, None] / 2, 8, axis=1), atol=1e-6)
 
 
 def test_attention_causal_invariance():

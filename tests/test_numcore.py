@@ -21,12 +21,13 @@ def rnd(rows, cols, seed=0, dtype=np.float64, scale=1.0):
 
 def attention_softmax(scores, dtype=np.float32):
     """softmax(scores), read off the attention weights: with one head of
-    width 1, q = 1 and k = scores, every row of the non-causal weight
-    matrix is softmax(scores)."""
-    k = nc.Tensor2(np.asarray(scores, dtype=dtype).reshape(-1, 1))
-    q = nc.Tensor2(np.ones_like(k.data))
-    _, probs = nc.multihead_attention(q, k, k, n_heads=1, causal=False, want_probs=True)
-    return probs[0, 0]
+    width n, every query sqrt(n) e_0, key j scores[j] e_0 and v = I, output
+    row i is row i's weights, and the last row sees every key."""
+    s = np.asarray(scores, dtype=dtype)
+    q, k = np.zeros((s.size, s.size), dtype=dtype), np.zeros((s.size, s.size), dtype=dtype)
+    q[:, 0], k[:, 0] = math.sqrt(s.size), s
+    out = nc.multihead_attention(nc.Tensor2(q), nc.Tensor2(k), nc.eye(s.size, dtype=dtype), n_heads=1)
+    return out.data[-1]
 
 
 def total(x, graph=None):
@@ -113,15 +114,15 @@ def test_nonfinite_input_is_an_error_naming_the_op(op):
 
 
 def test_softmax_symmetry_and_stability():
-    np.testing.assert_allclose(attention_softmax([0.0, 0.0]), np.full((2, 2), 0.5))
+    np.testing.assert_allclose(attention_softmax([0.0, 0.0]), [0.5, 0.5])
     out = attention_softmax([1000.0, 0.0])
     assert np.isfinite(out).all()
-    np.testing.assert_allclose(out, [[1.0, 0.0]] * 2, atol=1e-6)
+    np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-6)
 
 
 def test_softmax_scalar_oracle():
     out = attention_softmax([1.0, 2.0, 3.0], dtype=np.float64)
-    np.testing.assert_allclose(out, [[0.09003057, 0.24472847, 0.66524096]] * 3, atol=1e-5)
+    np.testing.assert_allclose(out, [0.09003057, 0.24472847, 0.66524096], atol=1e-5)
 
 
 @settings(max_examples=50, deadline=None)
@@ -133,8 +134,7 @@ def test_softmax_scalar_oracle():
 def test_softmax_rows_sum_to_one(rows, cols, seed):
     x = rnd(rows, cols, seed=seed, dtype=np.float32, scale=10.0)
     for scores in x.data:
-        out = attention_softmax(scores)
-        np.testing.assert_allclose(out.sum(axis=1), np.ones(cols), atol=1e-6)
+        np.testing.assert_allclose(attention_softmax(scores).sum(), 1.0, atol=1e-6)
 
 
 def test_sigmoid_oracles():
@@ -342,6 +342,17 @@ def test_backward_op_output_and_repeated_tensor():
     np.testing.assert_allclose(gy, two_h, rtol=1e-12)
 
 
+def test_backward_overflow_is_inf_without_a_warning():
+    # frobenius_sq's vjp, 2 * 3e38 * x, overflows float32; sgd_step rejects it by name
+    x = nc.tensor([[1.0]])
+    g = nc.GradGraph()
+    loss = nc.scale(nc.frobenius_sq(x, g), 3e38, g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (grad,) = nc.backward(g, loss, [x])
+    assert grad.dtype == np.float32 and np.isposinf(grad).all()
+
+
 # --------------------------------------------------------------------------
 # gradient checks (64-bit)
 # --------------------------------------------------------------------------
@@ -365,7 +376,7 @@ def test_grad_check_softmax():
     eye = nc.eye(5, dtype=np.float64)
 
     def fn(ins, g):
-        out = nc.multihead_attention(ins[0], ins[1], eye, n_heads=1, causal=False, graph=g)
+        out = nc.multihead_attention(ins[0], ins[1], eye, n_heads=1, graph=g)
         return nc.frobenius_sq(out, g)
 
     assert nc.grad_check(fn, [rnd(5, 5, seed=3), rnd(5, 5, seed=33)], eps=1e-5) < 1e-6
@@ -436,15 +447,6 @@ def test_grad_check_multihead_attention():
     assert nc.grad_check(fn, inputs, eps=1e-5) < 1e-5
 
 
-def test_grad_check_noncausal_attention():
-    def fn(ins, g):
-        out = nc.multihead_attention(ins[0], ins[1], ins[2], n_heads=1, causal=False, graph=g)
-        return nc.frobenius_sq(out, g)
-
-    inputs = [rnd(4, 3, seed=s) for s in (18, 19, 20)]
-    assert nc.grad_check(fn, inputs, eps=1e-5) < 1e-5
-
-
 # --------------------------------------------------------------------------
 # attention op semantics
 # --------------------------------------------------------------------------
@@ -466,18 +468,25 @@ def test_attention_causal_rows_independent_of_future():
 
 
 def test_attention_probs_uniform_when_keys_equal():
-    q = nc.Tensor2(np.ones((4, 2), dtype=np.float32))
-    k = nc.Tensor2(np.ones((4, 2), dtype=np.float32))
-    v = rnd(4, 2, seed=24, dtype=np.float32)
-    _, probs = nc.multihead_attention(q, k, v, n_heads=1, causal=False, want_probs=True)
-    np.testing.assert_allclose(probs, np.full((1, 1, 4, 4), 0.25), atol=1e-7)
+    # one head with v = I: output row i is row i's weights, 1/(i+1) on each key it sees
+    ones = nc.Tensor2(np.ones((4, 4), dtype=np.float32))
+    out = nc.multihead_attention(ones, ones, nc.eye(4), n_heads=1)
+    np.testing.assert_allclose(out.data, np.tril(np.ones((4, 4))) / np.arange(1, 5)[:, None], atol=1e-7)
 
 
 def test_attention_single_position_weight_one():
+    # a weight of exactly 1 on the one key returns its value row unrounded
     q, k, v = (rnd(1, 4, seed=s, dtype=np.float32) for s in (25, 26, 27))
-    out, probs = nc.multihead_attention(q, k, v, n_heads=2, want_probs=True)
-    np.testing.assert_array_equal(probs, np.ones((1, 2, 1, 1)))
-    np.testing.assert_allclose(out.data, v.data, rtol=1e-6)
+    np.testing.assert_array_equal(nc.multihead_attention(q, k, v, n_heads=2).data, v.data)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_exact_when_visible_scores_span_more_than_1e9(dtype):
+    # row 0 sees only its key, scored -2e9: under an additive -1e9 mask the
+    # hidden score would be the row max, and the visible weight underflow to 0
+    q, v = nc.tensor([[1.0], [1.0]], dtype=dtype), nc.tensor([[3.0], [5.0]], dtype=dtype)
+    k = nc.tensor([[-2e9], [0.0]], dtype=dtype)
+    np.testing.assert_array_equal(nc.multihead_attention(q, k, v, n_heads=1).data, [[3.0], [5.0]])
 
 
 def test_attention_blocks_do_not_mix_sequences():
@@ -532,10 +541,13 @@ def ref_layer_norm(xd, gd, bd, eps, g):
     return out, (dx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True))
 
 
-def ref_attention(q, k, v, n_heads, n_seqs, causal, g, queries=None, p=None):
-    """The attention formula for q at positions queries of each sequence
-    (every position when None), and its vjp for the output gradient g, taken
-    at the probabilities p when they are given."""
+REF_MASK_NEG = -1e9  # the reference's additive mask; exp(-1e9 - rowmax) underflows to 0
+
+
+def ref_attention(q, k, v, n_heads, n_seqs, g, queries=None, p=None):
+    """The causal attention formula for q at positions queries of each
+    sequence (every position when None), and its vjp for the output gradient
+    g, taken at the probabilities p when they are given."""
     total_rows, d = k.shape
     n, dh = total_rows // n_seqs, d // n_heads
     rows = np.arange(n) if queries is None else np.asarray(queries)
@@ -544,13 +556,9 @@ def ref_attention(q, k, v, n_heads, n_seqs, causal, g, queries=None, p=None):
     merge = lambda t4: np.ascontiguousarray(t4.transpose(0, 2, 1, 3).reshape(-1, d))
     q4, k4, v4, g4 = split(q), split(k), split(v), split(g)
     if p is None:
-        scores = (q4 @ k4.transpose(0, 1, 3, 2)) * inv
-        if causal:
-            tril = np.tril(np.ones((n, n), dtype=q.dtype.type))[rows]
-            scores = scores + (1.0 - tril) * nc.MASK_NEG
-        e = np.exp(scores - scores.max(axis=3, keepdims=True))
-        if causal:
-            e = e * tril
+        tril = np.tril(np.ones((n, n), dtype=q.dtype.type))[rows]
+        scores = (q4 @ k4.transpose(0, 1, 3, 2)) * inv + (1.0 - tril) * REF_MASK_NEG
+        e = np.exp(scores - scores.max(axis=3, keepdims=True)) * tril
         p = e / e.sum(axis=3, keepdims=True)
     dp = g4 @ v4.transpose(0, 1, 3, 2)
     ds = p * (dp - (p * dp).sum(axis=3, keepdims=True))
@@ -605,37 +613,36 @@ def test_layer_norm_bitwise_against_formula(dtype):
             assert_bitwise(got, want)
 
 
-@pytest.mark.parametrize("causal", [True, False])
+@pytest.mark.parametrize("every_query", [True, False])
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_attention_bitwise_against_formula(dtype, causal):
-    n_seqs, n_heads = 3, 4
-    q, k, v = (rnd(3 * 34, 64, seed=s, dtype=dtype, scale=2.0) for s in (46, 47, 48))
-    g = rnd(3 * 34, 64, seed=49, dtype=dtype).data
-    ref_out, ref_p, ref_grads = ref_attention(q.data, k.data, v.data, n_heads, n_seqs, causal, g)
-    out, vjp = _vjp_of_last_op(lambda graph: nc.multihead_attention(
-        q, k, v, n_heads, n_seqs=n_seqs, causal=causal, graph=graph
-    ))
-    assert_bitwise(out.data, ref_out)
-    _, p = nc.multihead_attention(q, k, v, n_heads, n_seqs=n_seqs, causal=causal, want_probs=True)
-    assert_bitwise(p, ref_p)
-    for got, want in zip(vjp(g), ref_grads):
-        assert_bitwise(got, want)
+def test_attention_bitwise_against_formula(dtype, every_query):
+    # the kernel against the formula's -1e9 mask and hard zero: the two give
+    # the same bits wherever a row's visible scores span less than 1e9
+    n_seqs, n_heads, n = 3, 4, 34
+    q, k, v = (rnd(3 * n, 64, seed=s, dtype=dtype, scale=2.0) for s in (46, 47, 48))
+    g = rnd(3 * n, 64, seed=49, dtype=dtype).data
+    ref_out, ref_p, ref_grads = ref_attention(q.data, k.data, v.data, n_heads, n_seqs, g)
+    if every_query:
+        out, vjp = _vjp_of_last_op(lambda graph: nc.multihead_attention(
+            q, k, v, n_heads, n_seqs=n_seqs, graph=graph
+        ))
+        assert_bitwise(out.data, ref_out)
+        assert_bitwise(nc.multihead_attention(q, k, v, n_heads, n_seqs=n_seqs).data, ref_out)
+        for got, want in zip(vjp(g), ref_grads):
+            assert_bitwise(got, want)
+        return
 
     # query subsets, one row included: the full formula's rows, as no
-    # forward product runs on one row, and the formula's vjp at the same p
-    n = 34
+    # forward product runs on one row, and the formula's vjp at those rows of p
     for queries in ([n - 1], [0, n - 1], list(range(9, 21)), list(range(n))):
         rows = (np.arange(n_seqs)[:, None] * n + queries).reshape(-1)
         qs, gs = nc.Tensor2(q.data[rows]), g[rows]
         out, vjp = _vjp_of_last_op(lambda graph: nc.multihead_attention(
-            qs, k, v, n_heads, n_seqs=n_seqs, causal=causal, graph=graph, queries=queries
+            qs, k, v, n_heads, n_seqs=n_seqs, graph=graph, queries=queries
         ))
-        _, p = nc.multihead_attention(
-            qs, k, v, n_heads, n_seqs=n_seqs, causal=causal, want_probs=True, queries=queries
-        )
         assert_bitwise(out.data, ref_out[rows])
-        assert_bitwise(p, np.ascontiguousarray(ref_p[:, :, queries]))
-        want = ref_attention(qs.data, k.data, v.data, n_heads, n_seqs, causal, gs, queries, p)
+        p = np.ascontiguousarray(ref_p[:, :, queries])
+        want = ref_attention(qs.data, k.data, v.data, n_heads, n_seqs, gs, queries, p)
         for got, ref in zip(vjp(gs), want[2]):
             assert_bitwise(got, ref)
 
@@ -808,9 +815,10 @@ def test_a_forward_on_another_thread_leaves_direct_ops_checked(monkeypatch):
 def test_causal_masks_are_cached_read_only():
     x = rnd(5, 4, seed=40, dtype=np.float32)
     nc.multihead_attention(x, x, x, n_heads=2)
-    tril, neg = nc._causal_mask(5, x.dtype)
-    assert nc._causal_mask(5, np.dtype(np.float32))[0] is tril
-    assert not tril.flags.writeable and not neg.flags.writeable
+    neg = nc._causal_mask(5, x.dtype)
+    assert nc._causal_mask(5, np.dtype(np.float32)) is neg
+    assert neg.dtype == np.float32 and not neg.flags.writeable
+    np.testing.assert_array_equal(neg, np.where(np.tri(5, dtype=bool), 0.0, -np.inf))
     with pytest.raises(ValueError):
         neg[0, 1] = 0.0
 

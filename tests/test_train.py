@@ -443,12 +443,13 @@ def test_run_rejects_init_of_another_architecture():
 def test_run_metrics_sink_and_epoch_callback():
     data = small_data(samples=24)
     tc = TrainConfig(epochs=2, batch_size=8, lr=0.5, seed=8)
-    sunk, seen = [], []
-    run_training(CFG, tc, data, metrics_sink=sunk.append,
-                 on_epoch=lambda p, rep: seen.append(rep.epoch))
-    assert [r.epoch for r in sunk] == [0, 1]
-    assert seen == [0, 1]
-    assert all(isinstance(r, EpochReport) for r in sunk)
+    seen = []
+    result = run_training(CFG, tc, data, on_epoch=lambda p, rep: seen.append((p, rep)))
+    assert [rep.epoch for _, rep in seen] == [0, 1]
+    assert all(isinstance(rep, EpochReport) for _, rep in seen)
+    # one callback per epoch, with the trained params and the report history keeps
+    assert all(p is result.params for p, _ in seen)
+    assert [rep for _, rep in seen] == result.history
 
 
 def test_run_abort_carries_partial_history():
