@@ -24,8 +24,8 @@ from .numcore import GradGraph, Rng, Tensor2
 
 INIT_STD = 0.02  # init std for all non-gate weight matrices
 # bytes of a block's widest activation, [rows x max(d_ff, vocab, heads*n)],
-# when a no-graph forward runs a batch in blocks of whole sequences; chosen
-# by a sweep on the eval benchmark's 64 x 40 chunks
+# when a no-graph forward runs a batch in blocks of whole sequences, and of
+# a GELU row tile; chosen by a sweep on the eval benchmark's 64 x 40 chunks
 BLOCK_BUDGET = 512 * 1024
 
 
@@ -294,8 +294,7 @@ def _block_bounds(cfg, n_seqs, n, itemsize):
     """Sequence bounds of near-equal blocks, each within BLOCK_BUDGET if a
     sequence fits."""
     per_seq = itemsize * n * max(cfg.d_ff, cfg.vocab_size, cfg.n_heads * n)
-    k = -(-n_seqs // max(1, BLOCK_BUDGET // per_seq))
-    return [n_seqs * i // k for i in range(k + 1)]
+    return nc.tile_bounds(n_seqs, per_seq, BLOCK_BUDGET)
 
 
 def _forward_body(params, tokens, mode, positions, want_trace, graph):
@@ -333,8 +332,9 @@ def _forward_body(params, tokens, mode, positions, want_trace, graph):
             trace.layers.append(LayerTrace(a=a, r=r, o=o))
         x = nc.add(x, o, graph)
         h2 = nc.layer_norm(x, layer.ln2_gain, layer.ln2_bias, graph)
-        f = nc.gelu(nc.add_row(nc.matmul(h2, layer.ffn_w1, graph), layer.ffn_b1, graph), graph)
-        x = nc.add(x, nc.add_row(nc.matmul(f, layer.ffn_w2, graph), layer.ffn_b2, graph), graph)
+        f = nc.matmul(h2, layer.ffn_w1, graph, bias=layer.ffn_b1)
+        f = nc.gelu(f, graph, tile_bytes=BLOCK_BUDGET)
+        x = nc.add(x, nc.matmul(f, layer.ffn_w2, graph, bias=layer.ffn_b2), graph)
     h = nc.layer_norm(x, params.final_gain, params.final_bias, graph)
     return nc.matmul(h, params.unembed, graph), trace
 

@@ -4,6 +4,9 @@ Everything downstream (attention, gating, losses, training) is composed from
 the operations here. Ops are pure: each computes a fresh output and returns
 through _result, which raises NumericError naming the op on a non-finite
 output, wraps it in a Tensor2 and, given a GradGraph, records the op's vjp.
+A kernel may build that output in place, in row tiles (gelu) or through a
+strided view (attention's heads); each runs the plain formula's float ops in
+their order, so its bits are the formula's, which the tests keep.
 Under run_deferred a whole forward enters errstate once and checks only its
 result, replaying bitwise with every op checked to name the op that failed.
 backward(graph, loss, wrt) returns the gradients of wrt, its sweep also under
@@ -251,24 +254,45 @@ def run_deferred(body, graph: GradGraph | None, *args):
 # --------------------------------------------------------------------------
 
 
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for every forward product, never on one row (axis -2): numpy
-    hands that to gemv, whose bits differ from gemm's, so a lone row is
-    multiplied doubled and the first copy kept."""
-    return a @ b if a.shape[-2] != 1 else (np.concatenate((a, a), axis=-2) @ b)[..., :1, :]
+def _mm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b for every forward product, into out when given, never on one
+    row (axis -2): numpy hands that to gemv, whose bits differ from gemm's,
+    so a lone row is multiplied doubled and the first copy kept."""
+    if a.shape[-2] != 1:
+        return np.matmul(a, b, out=out)
+    first = (np.concatenate((a, a), axis=-2) @ b)[..., :1, :]
+    if out is None:
+        return first
+    out[...] = first
+    return out
 
 
 @_quiet
-def matmul(a: Tensor2, b: Tensor2, graph: GradGraph | None = None) -> Tensor2:
-    """Matrix product a @ b.
+def matmul(
+    a: Tensor2, b: Tensor2, graph: GradGraph | None = None, *, bias: Tensor2 | None = None
+) -> Tensor2:
+    """Matrix product a @ b, plus a [1 x b.cols] bias row added in place to
+    every row of the fresh product when one is given: add_row's float op,
+    without its pass over a second array. One tape record covers (a, b) or
+    (a, b, bias).
 
     The reduction order is fixed by the BLAS build, so results are bitwise
     reproducible run-to-run on one platform at equal precision.
     """
     if a.cols != b.rows:
         raise DimensionError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    ad, bd = a.data, b.data
-    return _result("matmul", _mm(ad, bd), graph, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+    ad, bd, n = a.data, b.data, b.cols
+    if bias is None:
+        return _result("matmul", _mm(ad, bd), graph, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+    if bias.shape != (1, n):
+        raise DimensionError(f"matmul: bias must be [1x{n}], got {bias.shape}")
+    out_data = _mm(ad, bd)
+    out_data += bias.data
+    # the bias gradient is add_row's block sum, so its bits are add_row's
+    return _result(
+        "matmul", out_data, graph, (a, b, bias),
+        lambda g: (g @ bd.T, ad.T @ g, g.reshape(-1, 1, n).sum(axis=0)),
+    )
 
 
 @_quiet
@@ -282,7 +306,8 @@ def add(x: Tensor2, y: Tensor2, graph: GradGraph | None = None) -> Tensor2:
 @_quiet
 def add_row(x: Tensor2, row: Tensor2, graph: GradGraph | None = None) -> Tensor2:
     """Broadcast-add a [k x d] block to every k-row block of x (the only
-    broadcast allowed); k = 1 adds one row to every row."""
+    broadcast allowed); k = 1 adds one row to every row. The model adds its
+    position rows with it; a bias row goes into matmul(bias=)."""
     k, d = row.shape
     if d != x.cols or x.rows % k != 0:
         raise DimensionError(
@@ -327,27 +352,28 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-@_quiet
-def gelu(x: Tensor2, graph: GradGraph | None = None) -> Tensor2:
-    """Smooth GELU (tanh form).
+def tile_bounds(n: int, item_bytes: int, budget: int) -> list[int]:
+    """Bounds of near-equal tiles of n items, each within budget bytes if
+    one item of item_bytes fits."""
+    k = -(-n // max(1, budget // item_bytes))
+    return [n * i // k for i in range(k + 1)]
 
-    In-place evaluation of 0.5 * x * (1 + t), t = tanh(c * (x + a * x^3)),
-    operation by operation in the order of the plain formula, so results are
-    bitwise equal to it. With a graph, the derivative is computed here once
-    and the vjp is g * d.
-    """
-    xd = x.data
-    t = xd * _GELU_A
+
+def _gelu_rows(xd, want_d, out=None, d=None, t=None, half_x=None):
+    """GELU of xd, and its derivative d when want_d, written into the given
+    buffers (fresh arrays for None); t and half_x are scratch."""
+    t = np.multiply(xd, _GELU_A, out=t)
     t *= xd
     t *= xd
     t += xd
     t *= _GELU_C
     np.tanh(t, out=t)
-    half_x = xd * 0.5
-    out_data = t + 1.0
-    d = out_data * 0.5 if graph is not None else None
-    out_data *= half_x
-    if graph is not None:
+    half_x = np.multiply(xd, 0.5, out=half_x)
+    out = np.add(t, 1.0, out=out)
+    if want_d:
+        d = np.multiply(out, 0.5, out=d)
+    out *= half_x
+    if want_d:
         # d = 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * (c * (1 + 3a * x * x))
         np.multiply(t, t, out=t)
         np.subtract(1.0, t, out=t)
@@ -358,6 +384,37 @@ def gelu(x: Tensor2, graph: GradGraph | None = None) -> Tensor2:
         du *= _GELU_C
         t *= du
         d += t
+    return out, d
+
+
+@_quiet
+def gelu(x: Tensor2, graph: GradGraph | None = None, *, tile_bytes: int | None = None) -> Tensor2:
+    """Smooth GELU (tanh form).
+
+    In-place evaluation of 0.5 * x * (1 + t), t = tanh(c * (x + a * x^3)),
+    operation by operation in the order of the plain formula, so results are
+    bitwise equal to it. With a graph, the derivative is computed here once
+    and the vjp is g * d. Given tile_bytes, rows run in near-equal tiles of
+    at most that many bytes each (tile_bounds), reusing two tile-sized
+    scratch buffers so the chain stays in cache; each element gets the same
+    operations, so the bits do not depend on the tiling. An input of one
+    tile runs whole.
+    """
+    xd = x.data
+    want_d = graph is not None
+    if tile_bytes is None or xd.nbytes <= tile_bytes:
+        out_data, d = _gelu_rows(xd, want_d)
+    else:
+        bounds = tile_bounds(x.rows, x.cols * xd.itemsize, tile_bytes)
+        out_data = np.empty_like(xd)
+        d = np.empty_like(xd) if want_d else None
+        width = -(-x.rows // (len(bounds) - 1))  # the widest tile
+        t, half_x = (np.empty((width, x.cols), dtype=x.dtype) for _ in range(2))
+        for lo, hi in zip(bounds, bounds[1:]):
+            _gelu_rows(
+                xd[lo:hi], want_d, out_data[lo:hi], None if d is None else d[lo:hi],
+                t[: hi - lo], half_x[: hi - lo],
+            )
     return _result("gelu", out_data, graph, (x,), lambda g: (g * d,))
 
 
@@ -417,7 +474,9 @@ def layer_norm(
 
 @_quiet
 def gather_rows(table: Tensor2, indices: np.ndarray, graph: GradGraph | None = None) -> Tensor2:
-    """Select rows of a table by integer index (embedding lookup)."""
+    """Select rows of a table by integer index (embedding lookup). The vjp
+    is bitwise np.add.at of the gradient rows into zeros: it assigns them
+    where the indices increase strictly, and scatters them otherwise."""
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     if idx.size == 0:
         raise DimensionError("gather_rows: empty index list")
@@ -425,10 +484,15 @@ def gather_rows(table: Tensor2, indices: np.ndarray, graph: GradGraph | None = N
         raise ValueError(f"gather_rows: index out of range [0, {table.rows})")
 
     def vjp(g):
+        dt = np.zeros_like(table.data)
+        if (idx[1:] > idx[:-1]).all():
+            # each table row gets one gradient row: 0.0 + g, as np.add.at
+            # into zeros adds it, is g + 0.0, -0.0 included
+            dt[idx] = g + 0.0
+            return (dt,)
         # one flat scatter of elements, in the row scatter's order for each
         # table element, so bitwise np.add.at(dt, idx, g) and several times faster
         cols = table.cols
-        dt = np.zeros_like(table.data)
         np.add.at(dt.reshape(-1), (idx[:, None] * cols + np.arange(cols)).reshape(-1), g.reshape(-1))
         return (dt,)
 
@@ -514,7 +578,9 @@ def multihead_attention(
     the scores and softmax are computed, each as in the full attention;
     None means every position, with q shaped as k.
 
-    Returns the [(n_seqs*P) x d] head-concatenated output.
+    Returns the [(n_seqs*P) x d] head-concatenated output. It, and the
+    vjp's dq, dk and dv, are written per head straight into that layout
+    through a transposed view, so no merge copy is made.
     """
     if k.shape != v.shape or q.cols != k.cols:
         raise DimensionError("multihead_attention: q/k/v shapes differ")
@@ -547,22 +613,28 @@ def multihead_attention(
     np.exp(p, out=p)
     p /= p.sum(axis=3, keepdims=True)
 
-    def merge(t4):  # [S, h, m, dh] -> [(S*m) x d]
-        return np.ascontiguousarray(t4.transpose(0, 2, 1, 3).reshape(-1, d))
+    def merged(rows):  # a fresh [rows x d] array and its [S, h, m, dh] view
+        out = np.empty((rows, d), dtype=q.dtype)
+        return out, split_heads(out)
 
     def vjp(g):
         g4 = split_heads(g)
         ds = g4 @ v4.transpose(0, 1, 3, 2)  # dp, turned into ds in place
-        dv4 = p.transpose(0, 1, 3, 2) @ g4
+        dq, dq4 = merged(q.rows)
+        dk, dk4 = merged(total)
+        dv, dv4 = merged(total)
+        np.matmul(p.transpose(0, 1, 3, 2), g4, out=dv4)
         ds -= (p * ds).sum(axis=3, keepdims=True)
         ds *= p
-        dq4 = ds @ k4
+        np.matmul(ds, k4, out=dq4)
         dq4 *= inv
-        dk4 = ds.transpose(0, 1, 3, 2) @ q4
+        np.matmul(ds.transpose(0, 1, 3, 2), q4, out=dk4)
         dk4 *= inv
-        return merge(dq4), merge(dk4), merge(dv4)
+        return dq, dk, dv
 
-    return _result("multihead_attention", merge(_mm(p, v4)), graph, (q, k, v), vjp)
+    out_data, out4 = merged(q.rows)
+    _mm(p, v4, out=out4)
+    return _result("multihead_attention", out_data, graph, (q, k, v), vjp)
 
 
 def grad_check(

@@ -124,7 +124,9 @@ def sgd_step(
     grad_clip: float | None = None,
 ) -> Params:
     """In-place descent p <- p - lr*g on every tensor, after optional
-    global-norm clipping. Plain SGD, no momentum."""
+    global-norm clipping. Plain SGD, no momentum. A non-finite gradient
+    raises NumericError naming its tensor, at any lr, leaving params as
+    they were."""
     named = list(params.named_tensors())
     for name, t in named:
         g = grads.get(name)
@@ -132,16 +134,23 @@ def sgd_step(
             raise ValueError(f"missing gradient for {name}")
         if g.shape != t.data.shape:
             raise nc.DimensionError(f"gradient shape {g.shape} != {t.data.shape} for {name}")
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient for {name}")
+    norm = None
+    if grad_clip is not None:
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, quietly
+            squares = (float((grads[name].astype(np.float64) ** 2).sum()) for name, _ in named)
+            norm = np.sqrt(sum(squares))
+    # float32 squares cannot overflow float64, so the clip's norm is finite
+    # unless a gradient is; only then are the tensors scanned, to name it.
+    # float64 gradients can overflow the norm while finite, and step as before
+    if norm is None or not np.isfinite(norm):
+        for name, _ in named:
+            if not np.isfinite(grads[name]).all():
+                raise NumericError(f"non-finite gradient for {name}")
     if lr == 0.0:
         return params
     scale = lr
-    if grad_clip is not None:
-        norm_sq = sum(float((grads[name].astype(np.float64) ** 2).sum()) for name, _ in named)
-        norm = np.sqrt(norm_sq)
-        if norm > grad_clip:
-            scale = lr * grad_clip / norm
+    if norm is not None and norm > grad_clip:
+        scale = lr * grad_clip / norm
     for name, t in named:
         t.data -= t.dtype.type(scale) * grads[name]
     return params

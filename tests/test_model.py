@@ -488,6 +488,39 @@ def test_blocked_forward_batch_is_bitwise_one_pass(monkeypatch, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_recording_forward_is_bitwise_whatever_its_gelu_tiles(monkeypatch, dtype):
+    # a train step's GELUs run in row tiles within BLOCK_BUDGET: one row per
+    # tile, a few tiles, one tile; logits and every gradient the same bits
+    p = init_params(README_MODEL, nc.Rng(52), dtype=dtype)
+    tokens = nc.Rng(53).integers(0, README_MODEL.vocab_size, size=(8, 34))
+    tiles = []
+    real = nc._gelu_rows
+    monkeypatch.setattr(nc, "_gelu_rows", lambda xd, *a: tiles.append(xd.shape[0]) or real(xd, *a))
+    for positions in (None, np.arange(17, 33)):
+        results = []
+        for budget in (1, 64 * 1024, 1 << 30):
+            monkeypatch.setattr(model, "BLOCK_BUDGET", budget)
+            tiles.clear()
+            graph = nc.GradGraph()
+            logits = forward_batch(p, tokens, graph=graph, positions=positions)
+            total, _, _ = loss(logits, np.zeros(logits.rows, dtype=np.int64),
+                               np.ones(logits.rows, dtype=bool), p.synaptic(), 1e-3, graph)
+            names, tensors = zip(*p.named_tensors())
+            results.append([logits.data] + nc.backward(graph, total, tensors))
+            rows = 8 * 34 + (8 * 34 if positions is None else 8 * 16)  # the two layers' GELUs
+            assert sum(tiles) == rows
+            if budget == 1:
+                assert len(tiles) == rows
+            elif budget == 1 << 30:
+                assert len(tiles) == 2
+            else:
+                assert 2 < len(tiles) and max(tiles) * README_MODEL.d_ff * p.dtype.itemsize <= budget
+        for got in results[:-1]:
+            for name, a, b in zip(("logits",) + names, got, results[-1]):
+                assert a.tobytes() == b.tobytes(), (positions, name)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_blocked_forward_faults_like_the_checked_one_pass(monkeypatch, dtype):
     tokens = nc.Rng(51).integers(0, TINY.vocab_size, size=(6, 8))
     sizes = _block_sizes(monkeypatch)
@@ -602,7 +635,7 @@ def test_positions_limited_forward_runs_the_last_layer_on_the_selected_rows():
         "gather_rows", "matmul", "matmul", "matmul", "multihead_attention",  # q, k, v
         "gather_rows", "matmul",  # residual rows, w_o
         "matmul", "sigmoid", "hadamard", "add",  # gate, residual
-        "layer_norm", "matmul", "add_row", "gelu", "matmul", "add_row", "add",  # FFN
+        "layer_norm", "matmul", "gelu", "matmul", "add",  # FFN, its biases inside the matmuls
         "layer_norm", "matmul",  # final norm, unembedding
     ]
     assert [rows for _, rows in ops[first:]] == [12, 12, 32, 32] + [12] * (len(ops) - first - 4)

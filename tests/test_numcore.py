@@ -420,6 +420,22 @@ def test_grad_check_gelu():
     assert nc.grad_check(fn, [rnd(3, 4, seed=12)], eps=1e-5) < 1e-6
 
 
+def test_grad_check_matmul_bias():
+    # criterion 01's float64 tolerance, a one-row product included
+    for rows in (3, 1):
+        def fn(ins, g):
+            return nc.frobenius_sq(nc.matmul(ins[0], ins[1], g, bias=ins[2]), g)
+
+        inputs = [rnd(rows, 4, seed=70), rnd(4, 5, seed=71), rnd(1, 5, seed=72)]
+        assert nc.grad_check(fn, inputs, eps=1e-5) < 1e-5
+
+
+def test_grad_check_tiled_gelu():
+    # 7 rows in tiles of at most 2
+    fn = _scalarize(lambda ins, g: nc.gelu(ins[0], g, tile_bytes=2 * 4 * 8))
+    assert nc.grad_check(fn, [rnd(7, 4, seed=73)], eps=1e-5) < 1e-5
+
+
 def test_grad_check_gather_add_row():
     idx = np.array([2, 0, 2, 1])
 
@@ -587,6 +603,56 @@ def test_gelu_bitwise_against_formula(dtype):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
+def test_gelu_tiles_bitwise_against_formula(monkeypatch, dtype):
+    # tiles of at most t rows: row counts around one and two tiles, with and
+    # without a graph, each run in the expected number of tiles
+    t, cols = 8, 259
+    tile_bytes = t * cols * np.dtype(dtype).itemsize
+    tiles = []
+    real = nc._gelu_rows
+    monkeypatch.setattr(nc, "_gelu_rows", lambda xd, *a: tiles.append(xd.shape[0]) or real(xd, *a))
+    for rows in (1, t - 1, t, t + 1, 2 * t + 3):
+        x = rnd(rows, cols, seed=rows, dtype=dtype, scale=3.0)
+        g = rnd(rows, cols, seed=rows + 100, dtype=dtype).data
+        ref_out, ref_dx = ref_gelu(x.data, g)
+        for graph in (nc.GradGraph(), None):
+            tiles.clear()
+            out = nc.gelu(x, graph, tile_bytes=tile_bytes)
+            assert sum(tiles) == rows and max(tiles) <= t and len(tiles) == -(-rows // t)
+            assert_bitwise(out.data, ref_out)
+            if graph is not None:
+                (dx,) = graph._records[-1][2](g)
+                assert_bitwise(dx, ref_dx)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_matmul_bias_bitwise_against_add_row(dtype):
+    # one record over (a, b, bias) in place of matmul then add_row, a
+    # one-row product included
+    b, bias = rnd(64, 256, seed=74, dtype=dtype), rnd(1, 256, seed=75, dtype=dtype)
+    for rows in (96, 1):
+        a = rnd(rows, 64, seed=76, dtype=dtype)
+        g = rnd(rows, 256, seed=77, dtype=dtype).data
+        fused, apart = nc.GradGraph(), nc.GradGraph()
+        out = nc.matmul(a, b, fused, bias=bias)
+        ref = nc.add_row(nc.matmul(a, b, apart), bias, apart)
+        assert_bitwise(out.data, ref.data)
+        assert_bitwise(nc.matmul(a, b, bias=bias).data, ref.data)
+        assert fused.n_ops == 1 and fused._records[0][1] == (a, b, bias)
+        da, db, dbias = fused._records[0][2](g)
+        g_prod, ref_dbias = apart._records[1][2](g)
+        ref_da, ref_db = apart._records[0][2](g_prod)
+        for got, want in ((da, ref_da), (db, ref_db), (dbias, ref_dbias)):
+            assert_bitwise(got, want)
+
+
+def test_matmul_bias_must_be_one_row_of_the_product_width():
+    for bias in (nc.zeros(1, 3), nc.zeros(2, 4), nc.zeros(4, 1)):
+        with pytest.raises(nc.DimensionError, match="bias"):
+            nc.matmul(nc.zeros(2, 3), nc.zeros(3, 4), bias=bias)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
 def test_row_mean_bitwise_equal_to_ndarray_mean(dtype):
     # one rounding in dtype against mean's float64 divide rounded to dtype;
     # rows scaled 1e-30 .. 1e30, signed and all positive
@@ -712,6 +778,24 @@ def test_gather_rows_vjp_bitwise_against_row_scatter(dtype):
     for grad in (g, np.asfortranarray(g)):
         (got,) = vjp(grad)
         assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_gather_rows_vjp_bitwise_against_add_at_on_each_path(dtype):
+    # strictly increasing indices (kept rows, position rows) assign; any
+    # repeat scatters. -0.0 gradients and Fortran order on both paths
+    table = rnd(1088, 64, seed=59, dtype=dtype)
+    increasing = np.flatnonzero(nc.Rng(60).uniform(size=1088) < 0.5)
+    for idx in (increasing, np.arange(34), np.array([7]), np.array([3, 5, 5, 9]), np.array([9, 3])):
+        g = rnd(idx.size, 64, seed=idx.size, dtype=dtype).data
+        g[:, ::3] = -0.0
+        _, vjp = _vjp_of_last_op(lambda graph: nc.gather_rows(table, idx, graph))
+        want = np.zeros_like(table.data)
+        np.add.at(want, idx, g)
+        assert not np.signbit(want[idx[0], 0])
+        for grad in (g, np.asfortranarray(g)):
+            (got,) = vjp(grad)
+            assert_bitwise(got, want)
 
 
 def test_add_row_block_must_tile_rows():

@@ -147,6 +147,31 @@ def test_sgd_nonfinite_gradient_names_tensor():
         sgd_step(params, grads, lr=0.1)
 
 
+@pytest.mark.parametrize("lr", [0.0, 0.1])
+@pytest.mark.parametrize("grad_clip", [None, 1.0])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_sgd_nonfinite_gradient_raises_before_any_update(bad, grad_clip, lr):
+    # with a clip, the norm finds the fault and the scan names the tensor
+    params = init_params(CFG, nc.Rng(6))
+    before = {n: t.data.copy() for n, t in params.named_tensors()}
+    grads = _grads_like(params, 0.5)
+    grads["layer0.ffn_b1"][0, 3] = bad
+    with pytest.raises(nc.NumericError, match="layer0.ffn_b1"):
+        sgd_step(params, grads, lr=lr, grad_clip=grad_clip)
+    for n, t in params.named_tensors():
+        np.testing.assert_array_equal(t.data, before[n])
+
+
+def test_sgd_finite_float64_gradients_may_overflow_the_clip_norm():
+    # every element is finite, so no tensor is named; the norm is inf and
+    # the clip scales the step to zero, quietly
+    params = init_params(CFG, nc.Rng(8), dtype=np.float64)
+    before = {n: t.data.copy() for n, t in params.named_tensors()}
+    sgd_step(params, _grads_like(params, 1e200), lr=0.1, grad_clip=1.0)
+    for n, t in params.named_tensors():
+        np.testing.assert_array_equal(t.data, before[n])
+
+
 def test_sgd_global_norm_clip():
     params = init_params(CFG, nc.Rng(7), dtype=np.float64)
     before = {n: t.data.copy() for n, t in params.named_tensors()}
