@@ -23,10 +23,12 @@ from . import numcore as nc
 from .numcore import GradGraph, Rng, Tensor2
 
 INIT_STD = 0.02  # init std for all non-gate weight matrices
-# bytes of a block's widest activation, [rows x max(d_ff, vocab, heads*n)],
-# when a no-graph forward runs a batch in blocks of whole sequences, and of
-# a GELU row tile; chosen by a sweep on the eval benchmark's 64 x 40 chunks
-BLOCK_BUDGET = 512 * 1024
+# bytes of the widest activation of a no-graph forward's blocks of whole
+# sequences, [rows x max(d_ff, vocab, heads*n)] in the trunk and [kept rows
+# x max(d_ff, vocab)] in the tail, and of a GELU tile's working set: the
+# largest budget swept whose 64 x 40 eval chunks peak within 0.5 MB of the
+# 512 KiB blocks before the tail was split off (README, Memory and speed)
+BLOCK_BUDGET = 768 * 1024
 
 
 class GateMode(str, Enum):
@@ -262,18 +264,19 @@ def _forward_impl(params, tokens, mode, graph, want_trace, positions=None):
     if positions is not None:
         positions = _check_positions(positions, n)
     mode = GateMode(mode if mode is not None else cfg.gate_mode)
-    bounds = [0, tokens.shape[0]]
-    if tokens.shape[0] > 1 and graph is None and not want_trace:
-        bounds = _block_bounds(cfg, tokens.shape[0], n, params.dtype.itemsize)
-    if len(bounds) == 2:
+    if tokens.shape[0] == 1 or graph is not None or want_trace:
         return nc.run_deferred(_forward_body, graph, params, tokens, mode, positions, want_trace)
-    # every op is local to a row or a sequence, so each block's logits are
-    # bitwise those rows of the one-block forward wherever the BLAS rounds a
-    # matmul row the same for any row count (README, Memory and speed)
+    # the tail runs on the kept rows of as many sequences as fit the budget,
+    # their trunk in blocks of its own; every op is local to a row or a
+    # sequence, so the logits are one pass's rows, bitwise where the BLAS
+    # rounds a matmul row alike at any row count (README, Memory and speed)
     rows = n if positions is None else positions.size
+    tails = nc.tile_bounds(
+        tokens.shape[0], params.dtype.itemsize * rows * max(cfg.d_ff, cfg.vocab_size), BLOCK_BUDGET
+    )
     logits = np.empty((tokens.shape[0] * rows, cfg.vocab_size), dtype=params.dtype)
-    for lo, hi in zip(bounds, bounds[1:]):
-        block, _ = nc.run_deferred(_forward_body, None, params, tokens[lo:hi], mode, positions, False)
+    for lo, hi in zip(tails, tails[1:]):
+        block, _ = nc.run_deferred(_blocked_body, None, params, tokens[lo:hi], mode, positions)
         logits[lo * rows : hi * rows] = block.data
     return Tensor2(logits), None
 
@@ -302,6 +305,26 @@ def _forward_body(params, tokens, mode, positions, want_trace, graph):
     With positions, the last layer's queries, and everything after its
     attention, run on those rows of each sequence alone, while its keys and
     values cover every position; the logits are [(B*P) x V]."""
+    x, core, trace = _trunk(params, tokens, mode, positions, want_trace, graph)
+    return _tail(params, x, core, mode, trace, graph)
+
+
+def _blocked_body(params, tokens, mode, positions, graph):
+    """_forward_body without a trace, its trunk run in blocks of whole
+    sequences (_block_bounds) and its tail once, on every block's rows."""
+    bounds = _block_bounds(params.config, *tokens.shape, params.dtype.itemsize)
+    parts = [_trunk(params, tokens[lo:hi], mode, positions, False, graph)[:2]
+             for lo, hi in zip(bounds, bounds[1:])]
+    x, core = (ts[0] if len(ts) == 1 else Tensor2(np.concatenate([t.data for t in ts]))
+               for ts in zip(*parts))
+    del parts  # the blocks' rows live on in the copies alone
+    return _tail(params, x, core, mode, None, graph)
+
+
+def _trunk(params, tokens, mode, positions, want_trace, graph):
+    """The forward up to the last layer's attention: (x, core, trace), the
+    residual stream and the attention core at the rows the tail runs on,
+    every row of each sequence or, with positions, those rows alone."""
     n_seqs, n = tokens.shape
     rows = None if positions is None else (np.arange(n_seqs)[:, None] * n + positions).reshape(-1)
     # the n position rows are gathered once and added to every sequence
@@ -314,9 +337,9 @@ def _forward_body(params, tokens, mode, positions, want_trace, graph):
     last = params.layers[-1]
     for layer in params.layers:
         h = nc.layer_norm(x, layer.ln1_gain, layer.ln1_bias, graph)
-        # causal self-attention, projected by w_o into the output a that the
-        # gate reads; with positions, the last layer's queries are those rows
-        # of each sequence alone, while keys and values cover every position
+        # causal self-attention; with positions, the last layer's queries
+        # are those rows of each sequence alone, while keys and values
+        # cover every position
         queries = positions if layer is last else None
         core = nc.multihead_attention(
             nc.matmul(h if queries is None else nc.gather_rows(h, rows, graph), layer.w_q, graph),
@@ -324,19 +347,40 @@ def _forward_body(params, tokens, mode, positions, want_trace, graph):
             nc.matmul(h, layer.w_v, graph),
             params.config.n_heads, n_seqs, graph, queries=queries,
         )
-        if queries is not None:  # every op from here on is local to a row
-            x = nc.gather_rows(x, rows, graph)
-        a = nc.matmul(core, layer.w_o, graph)
-        r, o = resonance_gate(a, layer.w_s, mode, graph)
-        if trace is not None:
-            trace.layers.append(LayerTrace(a=a, r=r, o=o))
-        x = nc.add(x, o, graph)
-        h2 = nc.layer_norm(x, layer.ln2_gain, layer.ln2_bias, graph)
-        f = nc.matmul(h2, layer.ffn_w1, graph, bias=layer.ffn_b1)
-        f = nc.gelu(f, graph, tile_bytes=BLOCK_BUDGET)
-        x = nc.add(x, nc.matmul(f, layer.ffn_w2, graph, bias=layer.ffn_b2), graph)
+        if layer is not last:
+            x = _past_attention(layer, x, core, mode, trace, graph)
+    if positions is not None:  # every op from here on is local to a row
+        x = nc.gather_rows(x, rows, graph)
+    return x, core, trace
+
+
+def _tail(params, x, core, mode, trace, graph):
+    """The forward from the last layer's w_o to the logits, on x's rows."""
+    x = _past_attention(params.layers[-1], x, core, mode, trace, graph)
     h = nc.layer_norm(x, params.final_gain, params.final_bias, graph)
     return nc.matmul(h, params.unembed, graph), trace
+
+
+def _past_attention(layer, x, core, mode, trace, graph):
+    """One layer past its attention core: the gated output, then the FFN,
+    each added to the residual stream. Without a graph each array dies once
+    read (a, r and the normed input before the GELU), as a block's peak
+    memory is set there."""
+    x = nc.add(x, _gated(layer, core, mode, trace, graph), graph)
+    f = nc.matmul(nc.layer_norm(x, layer.ln2_gain, layer.ln2_bias, graph), layer.ffn_w1, graph,
+                  bias=layer.ffn_b1)
+    f = nc.gelu(f, graph, tile_bytes=BLOCK_BUDGET)
+    return nc.add(x, nc.matmul(f, layer.ffn_w2, graph, bias=layer.ffn_b2), graph)
+
+
+def _gated(layer, core, mode, trace, graph):
+    """The gate's output o: w_o projects the core into the output a that
+    the gate reads."""
+    a = nc.matmul(core, layer.w_o, graph)
+    r, o = resonance_gate(a, layer.w_s, mode, graph)
+    if trace is not None:
+        trace.layers.append(LayerTrace(a=a, r=r, o=o))
+    return o
 
 
 def forward(
@@ -365,8 +409,11 @@ def forward_batch(
     """Run a [B x n] token matrix under the config's gate mode; returns
     [(B*n) x V] logits with row b*n + t holding sequence b position t.
     Without a graph the batch runs in blocks of whole sequences sized to
-    BLOCK_BUDGET, bitwise equal to one pass where the BLAS rounds a matmul
-    row the same for any row count, as at the README config.
+    BLOCK_BUDGET: the trunk, up to the last layer's attention, per block,
+    and the tail, from its w_o to the unembedding, once on the kept rows of
+    as many blocks as fit the budget. The logits are bitwise one pass where
+    the BLAS rounds a matmul row the same for any row count, as at the
+    README config.
 
     positions, strictly increasing and the same for every sequence, names
     the P positions whose logits the caller reads; the result is then

@@ -394,18 +394,20 @@ def gelu(x: Tensor2, graph: GradGraph | None = None, *, tile_bytes: int | None =
     In-place evaluation of 0.5 * x * (1 + t), t = tanh(c * (x + a * x^3)),
     operation by operation in the order of the plain formula, so results are
     bitwise equal to it. With a graph, the derivative is computed here once
-    and the vjp is g * d. Given tile_bytes, rows run in near-equal tiles of
-    at most that many bytes each (tile_bounds), reusing two tile-sized
-    scratch buffers so the chain stays in cache; each element gets the same
-    operations, so the bits do not depend on the tiling. An input of one
-    tile runs whole.
+    and the vjp is g * d. Given tile_bytes, rows run in near-equal tiles
+    (tile_bounds) whose working set stays within that many bytes: the input
+    rows, their output, two tile-sized scratch buffers reused by every tile,
+    and their derivative when recording. So the chain stays in cache; each
+    element gets the same operations, so the bits do not depend on the
+    tiling. An input of one tile runs whole.
     """
     xd = x.data
     want_d = graph is not None
-    if tile_bytes is None or xd.nbytes <= tile_bytes:
+    row_bytes = x.cols * xd.itemsize * (5 if want_d else 4)
+    if tile_bytes is None or x.rows * row_bytes <= tile_bytes:
         out_data, d = _gelu_rows(xd, want_d)
     else:
-        bounds = tile_bounds(x.rows, x.cols * xd.itemsize, tile_bytes)
+        bounds = tile_bounds(x.rows, row_bytes, tile_bytes)
         out_data = np.empty_like(xd)
         d = np.empty_like(xd) if want_d else None
         width = -(-x.rows // (len(bounds) - 1))  # the widest tile
@@ -512,7 +514,8 @@ def _row_nll(x: np.ndarray, targets: np.ndarray):
     """Per-row -log softmax(x)[target] via log-sum-exp in x's dtype, plus the
     shifted exponentials and their row sums (the cross-entropy vjp needs them)."""
     m = x.max(axis=1, keepdims=True)
-    e = np.exp(x - m)
+    e = np.subtract(x, m)
+    np.exp(e, out=e)
     z = e.sum(axis=1, keepdims=True)
     nll = m[:, 0] + np.log(z[:, 0]) - x[np.arange(x.shape[0]), targets]
     return nll, e, z

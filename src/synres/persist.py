@@ -9,7 +9,7 @@ loaded parameters reproduce forward outputs bitwise at equal precision.
 from __future__ import annotations
 
 import configparser
-import io
+import os
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
@@ -103,16 +103,28 @@ def _header_section(path, pairs: dict[str, str], cls, section: str):
 
 
 def _write_container(path, header_lines: list[str], arrays: list[tuple[str, np.ndarray]]):
+    """Write a container atomically: into a temp file in path's directory,
+    fsynced, then renamed over path. A write that raises or is killed
+    leaves the file that was there whole; one that raises removes its temp
+    file."""
     manifest, offset = [], 0
     for name, arr in arrays:
         code = _CODE_OF[arr.dtype]
         manifest.append(f"tensor {name} {arr.shape[0]} {arr.shape[1]} {code} {offset}")
         offset += arr.nbytes
-    blob = io.BytesIO()
-    blob.write(("\n".join(header_lines + manifest) + "\n\n").encode())
-    for _, arr in arrays:
-        blob.write(np.ascontiguousarray(arr).tobytes())
-    Path(path).write_bytes(blob.getvalue())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(("\n".join(header_lines + manifest) + "\n\n").encode())
+            for _, arr in arrays:
+                f.write(np.ascontiguousarray(arr).tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_container(path):

@@ -445,17 +445,43 @@ README_MODEL = ModelConfig(
 )
 
 
+BUDGETS = (1, 1000, 4000, 64 * 1024, model.BLOCK_BUDGET, 1 << 30)  # 1 byte to 1 GiB
+
+
 def _block_sizes(monkeypatch):
-    """The sequences per _forward_body call, filled in as forwards run."""
-    sizes = []
-    body = model._forward_body
+    """The sequences per trunk call and the rows per tail call, filled in
+    as forwards run."""
+    sizes, tails = [], []
+    trunk, tail = model._trunk, model._tail
 
-    def counted(params, tokens, *args):
+    def counted_trunk(params, tokens, *args):
         sizes.append(tokens.shape[0])
-        return body(params, tokens, *args)
+        return trunk(params, tokens, *args)
 
-    monkeypatch.setattr(model, "_forward_body", counted)
-    return sizes
+    def counted_tail(params, x, *args):
+        tails.append(x.rows)
+        return tail(params, x, *args)
+
+    monkeypatch.setattr(model, "_trunk", counted_trunk)
+    monkeypatch.setattr(model, "_tail", counted_tail)
+    return sizes, tails
+
+
+def _check_blocks(cfg, itemsize, n_seqs, n, rows, budget, sizes, tails):
+    """The trunk blocks and tail runs of one blocked forward of n_seqs x n
+    tokens keeping rows per sequence: each within the budget unless it is
+    one sequence, as few tail runs as the budget allows, near-equal, and
+    every tail run covering whole, near-equal trunk blocks."""
+    wide = max(cfg.d_ff, cfg.vocab_size)
+    assert sum(sizes) == n_seqs and sum(tails) == n_seqs * rows
+    assert all(s == 1 or s * itemsize * n * max(wide, cfg.n_heads * n) <= budget for s in sizes)
+    assert all(t == rows or t * itemsize * wide <= budget for t in tails)
+    assert max(tails) - min(tails) <= rows
+    assert len(tails) == -(-n_seqs // max(1, budget // (itemsize * rows * wide)))
+    ends = list(np.cumsum(sizes))
+    cuts = [0] + [ends.index(e) + 1 for e in np.cumsum(tails) // rows]  # raises unless whole
+    for lo, hi in zip(cuts, cuts[1:]):
+        assert max(sizes[lo:hi]) - min(sizes[lo:hi]) <= 1
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -463,8 +489,8 @@ def test_blocked_forward_batch_is_bitwise_one_pass(monkeypatch, dtype):
     # uneven tails, and many one-token sequences, whose one-row blocks run
     # every matmul on one row; every budget against the whole batch run
     # once, checked, and each sequence run alone through forward
-    sizes = _block_sizes(monkeypatch)
-    for cfg, mode in itertools.product((TINY, README_MODEL), (GateMode.LEARNED, GateMode.DISABLED)):
+    sizes, tails = _block_sizes(monkeypatch)
+    for cfg, mode in itertools.product((TINY, README_MODEL), GateMode):
         p = init_params(cfg, nc.Rng(50), dtype=dtype).with_gate_mode(mode)
         for n_seqs, n in ((7, 8), (33, 5), (40, 1), (5, 1), (2, 1), (1, 1)):
             tokens = nc.Rng(n_seqs * n).integers(0, cfg.vocab_size, size=(n_seqs, n))
@@ -473,18 +499,23 @@ def test_blocked_forward_batch_is_bitwise_one_pass(monkeypatch, dtype):
                 alone = forward(p, tokens[b])[0].data
                 case = (cfg.d_model, mode, n_seqs, n, b)
                 assert alone.tobytes() == want[b * n : (b + 1) * n].tobytes(), case
-            for budget in (1, 1000, 4000, 1 << 30):
+            for budget in BUDGETS:
                 monkeypatch.setattr(model, "BLOCK_BUDGET", budget)
                 sizes.clear()
+                tails.clear()
                 got = forward_batch(p, tokens).data
                 assert got.tobytes() == want.tobytes(), (cfg.d_model, mode, n_seqs, n, budget)
-                assert sum(sizes) == n_seqs and max(sizes) - min(sizes) <= 1
+                if n_seqs > 1:
+                    _check_blocks(cfg, p.dtype.itemsize, n_seqs, n, n, budget, sizes, tails)
+                    # every position is kept, so the tail runs per block
+                    assert tails == [s * n for s in sizes]
                 if budget == 1 and n_seqs > 3:
                     assert len(sizes) > 1
             # a recording forward runs whole, whatever the budget
             sizes.clear()
+            tails.clear()
             forward_batch(p, tokens, graph=nc.GradGraph())
-            assert sizes == [n_seqs]
+            assert sizes == [n_seqs] and tails == [n_seqs * n]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -514,7 +545,9 @@ def test_recording_forward_is_bitwise_whatever_its_gelu_tiles(monkeypatch, dtype
             elif budget == 1 << 30:
                 assert len(tiles) == 2
             else:
-                assert 2 < len(tiles) and max(tiles) * README_MODEL.d_ff * p.dtype.itemsize <= budget
+                # input, output, derivative and two scratch tiles
+                working_set = max(tiles) * README_MODEL.d_ff * p.dtype.itemsize * 5
+                assert 2 < len(tiles) and working_set <= budget
         for got in results[:-1]:
             for name, a, b in zip(("logits",) + names, got, results[-1]):
                 assert a.tobytes() == b.tobytes(), (positions, name)
@@ -522,24 +555,33 @@ def test_recording_forward_is_bitwise_whatever_its_gelu_tiles(monkeypatch, dtype
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_blocked_forward_faults_like_the_checked_one_pass(monkeypatch, dtype):
+    # six one-sequence trunk blocks, each with its own tail and, keeping one
+    # position, all under one tail
     tokens = nc.Rng(51).integers(0, TINY.vocab_size, size=(6, 8))
-    sizes = _block_sizes(monkeypatch)
-    monkeypatch.setattr(model, "BLOCK_BUDGET", 1)
-    forward_batch(tiny_params(seed=30, dtype=dtype), tokens)
-    assert sizes == [1] * 6
+    sizes, tails = _block_sizes(monkeypatch)
+    one_seq = np.dtype(dtype).itemsize * 8 * max(TINY.d_ff, TINY.n_heads * 8)
     raised = Counter()
-    for name, _ in tiny_params().named_tensors():
-        for poison in ("nan", "inf", "fill"):
-            params = tiny_params(seed=30, dtype=dtype)
-            flat = dict(params.named_tensors())[name].data.reshape(-1)
-            if poison == "fill":
-                flat[:] = 3e38
-            else:
-                flat[flat.size // 2] = float(poison)
-            mode = params.config.gate_mode
-            checked = _outcome(lambda: _forward_body(params, tokens, mode, None, False, None)[0])
-            assert _outcome(lambda: forward_batch(params, tokens)) == checked, (name, poison)
-            raised[checked.split(" ")[0] if isinstance(checked, str) else "finite"] += 1
+    for positions, budget, tail_rows in ((None, 1, [8] * 6), (np.array([7]), one_seq, [6])):
+        monkeypatch.setattr(model, "BLOCK_BUDGET", budget)
+        sizes.clear()
+        tails.clear()
+        forward_batch(tiny_params(seed=30, dtype=dtype), tokens, positions=positions)
+        assert sizes == [1] * 6 and tails == tail_rows
+        for name, _ in tiny_params().named_tensors():
+            for poison in ("nan", "inf", "fill"):
+                params = tiny_params(seed=30, dtype=dtype)
+                flat = dict(params.named_tensors())[name].data.reshape(-1)
+                if poison == "fill":
+                    flat[:] = 3e38
+                else:
+                    flat[flat.size // 2] = float(poison)
+                mode = params.config.gate_mode
+                checked = _outcome(
+                    lambda: _forward_body(params, tokens, mode, positions, False, None)[0]
+                )
+                got = _outcome(lambda: forward_batch(params, tokens, positions=positions))
+                assert got == checked, (name, poison, positions)
+                raised[checked.split(" ")[0] if isinstance(checked, str) else "finite"] += 1
     assert len(raised) >= 4, raised
 
 
@@ -550,8 +592,8 @@ def test_blocked_forward_faults_like_the_checked_one_pass(monkeypatch, dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_positions_limited_logits_are_the_full_forwards_rows(monkeypatch, dtype):
     cases = (
-        (64, 40, [39], (1, 512 * 1024)),  # a kv_recall eval chunk; 1 byte: 64 one-row blocks
-        (64, 34, range(17, 33), (1, 512 * 1024)),  # a copy chunk's scored columns
+        (64, 40, [39], BUDGETS),  # a kv_recall eval chunk; 1 byte: 64 one-row blocks
+        (64, 34, range(17, 33), BUDGETS),  # a copy chunk's scored columns
         (7, 40, [0, 9, 39], (1, 40_000, 100_000, 1 << 30)),  # uneven blocks
         (1, 40, [39], (1, 1 << 30)),  # one row: every last-layer product on one row
         (1, 40, [0], (1, 1 << 30)),
@@ -560,7 +602,7 @@ def test_positions_limited_logits_are_the_full_forwards_rows(monkeypatch, dtype)
         (1, 1, [0], (1, 1 << 30)),
     )
     base = init_params(README_MODEL, nc.Rng(60), dtype=dtype)
-    sizes = _block_sizes(monkeypatch)
+    sizes, tails = _block_sizes(monkeypatch)
     for mode in GateMode:
         p = base.with_gate_mode(mode)
         for n_seqs, n, positions, budgets in cases:
@@ -571,12 +613,35 @@ def test_positions_limited_logits_are_the_full_forwards_rows(monkeypatch, dtype)
             for budget in budgets:
                 monkeypatch.setattr(model, "BLOCK_BUDGET", budget)
                 sizes.clear()
+                tails.clear()
                 got = forward_batch(p, tokens, positions=positions).data
                 assert got.tobytes() == want.tobytes(), (mode, n_seqs, n, positions, budget)
+                if n_seqs > 1:
+                    _check_blocks(README_MODEL, p.dtype.itemsize, n_seqs, n, positions.size,
+                                  budget, sizes, tails)
                 if budget == 1 and n_seqs > 3:
                     assert len(sizes) > 1
             got = forward_batch(p, tokens, graph=nc.GradGraph(), positions=positions).data
             assert got.tobytes() == want.tobytes(), (mode, n_seqs, n, positions, "graph")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_positions_run_the_tail_once_per_chunk(monkeypatch, dtype):
+    # a kv_recall eval chunk keeps 64 rows, which fit the tail's budget from
+    # 64 rows x 256 columns on, however many blocks its trunk runs in
+    p = init_params(README_MODEL, nc.Rng(63), dtype=dtype)
+    tokens = nc.Rng(64).integers(0, README_MODEL.vocab_size, size=(64, 40))
+    sizes, tails = _block_sizes(monkeypatch)
+    blocks = set()
+    fit = 64 * 256 * p.dtype.itemsize
+    for budget in (fit, 4 * fit, model.BLOCK_BUDGET, 1 << 30):
+        monkeypatch.setattr(model, "BLOCK_BUDGET", budget)
+        sizes.clear()
+        tails.clear()
+        forward_batch(p, tokens, positions=[39])
+        assert tails == [64], budget
+        blocks.add(len(sizes))
+    assert max(blocks) > 4 and min(blocks) == 1, blocks
 
 
 # The README model at other head widths (d_model = 4 heads x width): the

@@ -244,6 +244,23 @@ def test_cross_entropy_errors():
     np.testing.assert_allclose(out.item(), math.log(3.0), atol=1e-6)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_nll_bitwise_against_the_two_array_formula(dtype):
+    # exp runs in place on the fresh x - m; the values are those of
+    # np.exp(x - m) on a second array, bit for bit, including rows whose
+    # other entries underflow to exactly 0
+    for rows, cols, spread in ((2560, 256, 3.0), (64, 64, 40.0), (1, 5, 1e3), (7, 1, 1.0)):
+        x = rnd(rows, cols, seed=rows + cols, dtype=dtype, scale=spread).data
+        targets = nc.Rng(cols).integers(0, cols, size=rows)
+        nll, e, z = nc._row_nll(x, targets)
+        m = x.max(axis=1, keepdims=True)
+        want_e = np.exp(x - m)
+        want_z = want_e.sum(axis=1, keepdims=True)
+        want_nll = m[:, 0] + np.log(want_z[:, 0]) - x[np.arange(rows), targets]
+        for got, want in ((nll, want_nll), (e, want_e), (z, want_z)):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes(), (rows, cols)
+
+
 # --------------------------------------------------------------------------
 # layer norm
 # --------------------------------------------------------------------------
@@ -431,8 +448,8 @@ def test_grad_check_matmul_bias():
 
 
 def test_grad_check_tiled_gelu():
-    # 7 rows in tiles of at most 2
-    fn = _scalarize(lambda ins, g: nc.gelu(ins[0], g, tile_bytes=2 * 4 * 8))
+    # 7 rows in tiles of at most 2, whose five [2 x 4] arrays fill the budget
+    fn = _scalarize(lambda ins, g: nc.gelu(ins[0], g, tile_bytes=2 * 4 * 8 * 5))
     assert nc.grad_check(fn, [rnd(7, 4, seed=73)], eps=1e-5) < 1e-5
 
 
@@ -605,9 +622,9 @@ def test_gelu_bitwise_against_formula(dtype):
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_gelu_tiles_bitwise_against_formula(monkeypatch, dtype):
     # tiles of at most t rows: row counts around one and two tiles, with and
-    # without a graph, each run in the expected number of tiles
+    # without a graph, each run in the expected number of tiles; a tile's
+    # working set is four [t x cols] arrays, and five with the derivative
     t, cols = 8, 259
-    tile_bytes = t * cols * np.dtype(dtype).itemsize
     tiles = []
     real = nc._gelu_rows
     monkeypatch.setattr(nc, "_gelu_rows", lambda xd, *a: tiles.append(xd.shape[0]) or real(xd, *a))
@@ -616,6 +633,7 @@ def test_gelu_tiles_bitwise_against_formula(monkeypatch, dtype):
         g = rnd(rows, cols, seed=rows + 100, dtype=dtype).data
         ref_out, ref_dx = ref_gelu(x.data, g)
         for graph in (nc.GradGraph(), None):
+            tile_bytes = t * cols * np.dtype(dtype).itemsize * (4 if graph is None else 5)
             tiles.clear()
             out = nc.gelu(x, graph, tile_bytes=tile_bytes)
             assert sum(tiles) == rows and max(tiles) <= t and len(tiles) == -(-rows // t)

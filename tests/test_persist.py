@@ -1,9 +1,12 @@
 """Container round trips, metrics CSV schema, config parsing strictness."""
 
+import os
+
 import numpy as np
 import pytest
 
 from synres import numcore as nc
+from synres import persist
 from synres.datagen import TaskSpec, VocabLayout, gen_copy, gen_kv_recall
 from synres.model import GateMode, ModelConfig, forward, init_params
 from synres.persist import (
@@ -98,6 +101,48 @@ def test_checkpoint_garbage_rejected(tmp_path):
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+class _UnreadableArray:
+    """A float32 [1 x 1] manifest entry whose bytes cannot be read, so a
+    container write raises when it reaches them, after the header and the
+    tensors before it."""
+
+    dtype, shape, nbytes = np.dtype(np.float32), (1, 1), 4
+
+    def __array__(self, *args, **kwargs):
+        raise OSError("no space left on device")
+
+
+def _raise_os_error(*args, **kwargs):
+    raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("failing", ["payload", "fsync", "replace"])
+def test_a_failed_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch, failing):
+    path = tmp_path / "last.ckpt"
+    old = init_params(CFG, nc.Rng(5))
+    save_checkpoint(path, old, TCFG, seed=3, epoch=1)
+    before = path.read_bytes()
+    new = init_params(CFG, nc.Rng(6))
+    with pytest.raises(OSError, match="no space left"):
+        if failing == "payload":
+            arrays = [(name, t.data) for name, t in new.named_tensors()]
+            persist._write_container(path, ["format 1", "kind checkpoint"],
+                                     arrays[:3] + [("unreadable", _UnreadableArray())] + arrays[3:])
+        else:
+            monkeypatch.setattr(os, failing, _raise_os_error)
+            save_checkpoint(path, new, TCFG, seed=3, epoch=2)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [path]  # no temp file behind
+    loaded = load_checkpoint(path)
+    assert loaded.epoch == 1
+    for (name, a), (_, b) in zip(old.named_tensors(), loaded.params.named_tensors()):
+        assert a.data.tobytes() == b.data.tobytes(), name
+    # the next save goes through and replaces the file whole
+    save_checkpoint(path, new, TCFG, seed=3, epoch=2)
+    assert load_checkpoint(path).epoch == 2 and sorted(tmp_path.iterdir()) == [path]
 
 
 # --------------------------------------------------------------------------
