@@ -8,9 +8,8 @@ Run: python demos/07_ablation.py
 """
 
 from synres.datagen import TaskSpec, VocabLayout
-from synres.evalsuite import ablate
 from synres.model import ModelConfig
-from synres.train import TrainConfig
+from synres.train import TrainConfig, ablate
 
 task = TaskSpec.kv_recall(distances=(16, 32, 64), samples=768, seed=5)
 layout = VocabLayout.synthetic(5 + task.pairs + 16, n_keys=task.pairs, n_values=16)

@@ -49,6 +49,14 @@ def _dtype_of(precision: int):
     return {32: np.float32, 64: np.float64}[precision]
 
 
+def _cast(params, precision: int | None):
+    """params with every tensor cast to precision; as loaded when None."""
+    if precision is not None:
+        for _, t in params.named_tensors():
+            t.data = t.data.astype(_dtype_of(precision))
+    return params
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
@@ -184,11 +192,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"--metrics: unknown {', '.join(unknown)}; "
                           f"expected all or a comma list of {','.join(EVAL_METRICS)}")
     ckpt = load_checkpoint(args.checkpoint)
-    params = ckpt.params
-    if args.precision is not None:
-        target = _dtype_of(args.precision)
-        for _, t in params.named_tensors():
-            t.data = t.data.astype(target)
+    params = _cast(ckpt.params, args.precision)
     if args.gate_mode:
         params = params.with_gate_mode(args.gate_mode)
     mode = params.config.gate_mode
@@ -244,12 +248,12 @@ def cmd_bench(args) -> int:
     if bool(args.checkpoint) == bool(args.config):
         raise ConfigError("bench needs exactly one of --ckpt or --config")
     if args.checkpoint:
-        params = load_checkpoint(args.checkpoint).params
+        params = _cast(load_checkpoint(args.checkpoint).params, args.precision)
     else:
         spec = load_config(args.config)
         if spec.model is None:
             raise ConfigError(f"{args.config}: bench needs a [model] section")
-        params = init_params(spec.model, Rng(args.seed), dtype=_dtype_of(args.precision))
+        params = init_params(spec.model, Rng(args.seed), dtype=_dtype_of(args.precision or 32))
 
     curves = {}
     for mode in (GateMode.LEARNED, GateMode.DISABLED):
@@ -327,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "below the model's max_seq_len, then max_seq_len)")
     p_bench.add_argument("--reps", type=int, default=20)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--precision", type=int, choices=[32, 64], default=32)
+    p_bench.add_argument("--precision", type=int, choices=[32, 64],
+                         help="cast loaded parameters, or the float width of a random "
+                              "init (default 32)")
     p_bench.add_argument("--out", help="directory for CSV output (default stdout)")
     p_bench.set_defaults(func=cmd_bench)
 

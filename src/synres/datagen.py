@@ -210,6 +210,28 @@ class TaskSpec:
     def payload_len(self) -> int:
         return (self.seq_len - 2) // 2
 
+    def check(self, batch: Batch, layout: VocabLayout) -> None:
+        """Raise ValueError unless batch is this task's data under layout:
+        Batch.validate, samples x seq_len tokens, each row's meta one of the
+        distances, and for kv_recall keys at even and values at odd
+        positions below 2 * pairs, then filler up to the query. The seed
+        cannot be checked, as its draws leave no trace in the arrays."""
+        batch.validate(layout.vocab_size)
+        if (self.samples, self.seq_len) != batch.tokens.shape:
+            raise ValueError(f"header task.samples {self.samples} and task.seq_len {self.seq_len}"
+                             f" disagree with the {batch.n_rows} x {batch.seq_len} tokens")
+        if self.distances and not np.isin(batch.meta, self.distances).all():
+            raise ValueError(f"meta must give each row one of task.distances {self.distances}")
+        if self.kind == "kv_recall":
+            m, t = 2 * self.pairs, batch.tokens
+            keys, values = t[:, 0:m:2], t[:, 1:m:2]
+            if not (((keys >= layout.key_lo) & (keys < layout.key_hi)).all()
+                    and ((values >= layout.value_lo) & (values < layout.value_hi)).all()
+                    and (t[:, m : self.seq_len - 2] == layout.filler).all()):
+                raise ValueError(f"header task.pairs {self.pairs} disagrees with the tokens: each row"
+                                 f" needs keys at even and values at odd positions below {m},"
+                                 f" then filler up to position {self.seq_len - 2}")
+
     @classmethod
     def kv_recall(cls, distances, samples, seed=0, seq_len=None, pairs=None, val_fraction=0.1):
         """A kv_recall spec; seq_len and pairs left None are derived."""
@@ -251,7 +273,7 @@ def gen_copy(spec: TaskSpec, layout: VocabLayout, rng: Rng) -> Batch:
     mask = np.zeros_like(tokens, dtype=bool)
     mask[:, k + 1 : 2 * k + 1] = True  # positions predicting the second payload
     batch = Batch(tokens=tokens, targets=targets, loss_mask=mask)
-    batch.validate(layout.vocab_size)
+    spec.check(batch, layout)
     return batch
 
 
@@ -289,58 +311,36 @@ def gen_kv_recall(spec: TaskSpec, layout: VocabLayout, rng: Rng) -> Batch:
         meta[r] = dist
 
     batch = Batch(tokens=tokens, targets=targets, loss_mask=mask, meta=meta, protected=protected)
-    batch.validate(layout.vocab_size)
+    spec.check(batch, layout)
     return batch
 
 
-@dataclass
-class TokenStream:
-    """A contiguous run of corpus token ids."""
-
-    ids: np.ndarray  # 1-D int64
-
-    def windows(self, seq_len: int) -> Batch:
-        """Non-overlapping length-(seq_len+1) windows as (tokens, shifted targets)."""
-        n = len(self.ids)
-        count = (n - 1) // seq_len
-        if count < 1:
-            raise ValueError(f"stream of {n} tokens shorter than one window of {seq_len + 1}")
-        w = np.stack([self.ids[i * seq_len : i * seq_len + seq_len + 1] for i in range(count)])
-        return Batch(
-            tokens=w[:, :-1].astype(np.int64),
-            targets=w[:, 1:].astype(np.int64),
-            loss_mask=np.ones((count, seq_len), dtype=bool),
-        )
+def _windows(ids: np.ndarray, seq_len: int) -> Batch:
+    """Non-overlapping length-(seq_len+1) windows as (tokens, shifted targets)."""
+    n = len(ids)
+    count = (n - 1) // seq_len
+    if count < 1:
+        raise ValueError(f"stream of {n} tokens shorter than one window of {seq_len + 1}")
+    w = np.stack([ids[i * seq_len : i * seq_len + seq_len + 1] for i in range(count)])
+    return Batch(
+        tokens=w[:, :-1].astype(np.int64),
+        targets=w[:, 1:].astype(np.int64),
+        loss_mask=np.ones((count, seq_len), dtype=bool),
+    )
 
 
-def load_corpus(path, fractions, layout: VocabLayout) -> tuple[TokenStream, ...]:
-    """Map a file's raw bytes to byte-mode ids and split contiguously."""
+def load_corpus(spec: TaskSpec, layout: VocabLayout) -> tuple[Batch, Batch]:
+    """(train, validation) windows of a corpus file: its raw bytes as
+    byte-mode ids, cut contiguously at floor(len * (1 - val_fraction) + 0.5)."""
     if not layout.byte_mode:
         raise ValueError("corpus loading needs a byte-mode layout")
-    if abs(sum(fractions) - 1.0) > 1e-9 or any(f < 0 for f in fractions):
-        raise ValueError(f"fractions must be nonnegative and sum to 1, got {fractions}")
-    with open(path, "rb") as fh:
+    with open(spec.corpus_path, "rb") as fh:
         raw = fh.read()
     if not raw:
-        raise ValueError(f"{path} is empty")
+        raise ValueError(f"{spec.corpus_path} is empty")
     ids = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-    cuts = [0]
-    acc = 0.0
-    for f in fractions:
-        acc += f
-        cuts.append(int(np.floor(len(ids) * acc + 0.5)))
-    cuts[-1] = len(ids)
-    return tuple(TokenStream(ids[lo:hi].copy()) for lo, hi in zip(cuts, cuts[1:]))
-
-
-def detokenize(ids: np.ndarray, layout: VocabLayout) -> bytes:
-    """Inverse of byte-mode tokenization; exact round trip."""
-    if not layout.byte_mode:
-        raise ValueError("detokenize needs a byte-mode layout")
-    arr = np.asarray(ids).reshape(-1)
-    if arr.size and (arr.min() < 0 or arr.max() > 255):
-        raise ValueError("stream contains non-byte ids")
-    return arr.astype(np.uint8).tobytes()
+    cut = int(np.floor(len(ids) * (1.0 - spec.val_fraction) + 0.5))
+    return _windows(ids[:cut], spec.seq_len), _windows(ids[cut:], spec.seq_len)
 
 
 def inject_noise(batch: Batch, p: float, layout: VocabLayout, rng: Rng) -> Batch:
@@ -383,10 +383,7 @@ def split_train_val(dataset: Batch, val_fraction: float) -> tuple[Batch, Batch]:
 def build_task_data(spec: TaskSpec, layout: VocabLayout) -> tuple[Batch, Batch]:
     """Generate (train, validation) data for a task spec."""
     if spec.kind == "corpus":
-        train_stream, val_stream = load_corpus(
-            spec.corpus_path, (1.0 - spec.val_fraction, spec.val_fraction), layout
-        )
-        return train_stream.windows(spec.seq_len), val_stream.windows(spec.seq_len)
+        return load_corpus(spec, layout)
     rng = Rng(spec.seed)
     gen = gen_copy if spec.kind == "copy" else gen_kv_recall
     return split_train_val(gen(spec, layout, rng), spec.val_fraction)

@@ -1,5 +1,5 @@
 """Measurement surface: perplexity, retention probe, noise grid, coherence
-curve, latency benchmark, and the paired gate-on/gate-off ablation runner.
+curve and latency benchmark.
 
 Evaluation never records gradients and never mutates parameters. It
 computes logits only at the positions a chunk scores (a column of its loss
@@ -14,12 +14,12 @@ range so chance level is exactly 1/|values|.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import Batch, TaskSpec, VocabLayout, build_task_data, inject_noise
-from .model import GateMode, ModelConfig, Params, count_flops, forward, forward_batch, init_params
+from .datagen import Batch, VocabLayout, inject_noise
+from .model import GateMode, Params, count_flops, forward, forward_batch
 from .numcore import Rng, _row_nll
 
 DEFAULT_NOISE_LEVELS = (0, 10, 20, 30)
@@ -87,10 +87,11 @@ def perplexity(params: Params, dataset: Batch) -> float:
     total, count = 0.0, 0
     for _, _, (_, targets, msk), logits in _scored_chunks(params, dataset):
         safe_tgt = np.where(msk, targets, 0)
-        nll, _, _ = _row_nll(logits.astype(np.float64), safe_tgt)
+        nll, _, _ = _row_nll(logits, safe_tgt, dtype=np.float64)
         total += float(nll[msk].sum())
         count += int(msk.sum())
-    return float(np.exp(total / count))
+    with np.errstate(over="ignore"):  # a diverged model's perplexity is inf, quietly
+        return float(np.exp(total / count))
 
 
 def greedy_predictions(
@@ -241,67 +242,3 @@ def oracle_retention(batch: Batch, layout: VocabLayout) -> RetentionReport:
     answers = lookup_oracle(batch, layout)
     hits = answers == batch.targets[np.arange(batch.n_rows), batch.seq_len - 1]
     return _by_distance(hits, batch.meta)
-
-
-@dataclass
-class ArmSummary:
-    gate_mode: GateMode
-    final_val_ppl: float
-    retention_percent: float | None
-    noise_grid: NoiseGrid
-    loss_curve: list[float]
-    stream_digest: str
-    params: Params
-
-
-@dataclass
-class AblationResult:
-    learned: ArmSummary
-    disabled: ArmSummary
-    init: Params  # pristine pre-training snapshot shared by both arms
-
-    def rows(self) -> list[ArmSummary]:
-        return [self.learned, self.disabled]
-
-
-def ablate(
-    model_config: ModelConfig,
-    train_config,
-    task_spec: TaskSpec,
-    layout: VocabLayout,
-    metrics_sink=None,
-    noise_levels=DEFAULT_NOISE_LEVELS,
-    dtype=np.float32,
-) -> AblationResult:
-    """Two full trainings differing only in gate mode (learned vs disabled),
-    on bitwise-identical data and seeds. Each arm's params carry its own gate
-    mode. Deltas are reported, never asserted."""
-    from .train import run_training  # deferred: train uses perplexity from here
-
-    data = build_task_data(task_spec, layout)
-    init = init_params(model_config, Rng(train_config.seed).split(), dtype=dtype)
-    arms = {}
-    for gate_mode in (GateMode.LEARNED, GateMode.DISABLED):
-        arm_config = replace(model_config, gate_mode=gate_mode)
-        on_epoch = (lambda _, rep, m=gate_mode: metrics_sink(m, rep)) if metrics_sink else None
-        result = run_training(
-            arm_config, train_config, data, on_epoch=on_epoch, init=init.copy(), dtype=dtype
-        )
-        retention = None
-        if data[1].meta is not None:
-            retention = retention_probe(result.params, data[1], layout).aggregate_percent
-        grid = noise_robustness(
-            result.params, data[1], layout, levels=noise_levels, rng=Rng(train_config.seed)
-        )
-        arms[gate_mode] = ArmSummary(
-            gate_mode=gate_mode,
-            final_val_ppl=result.history[-1].val_ppl,
-            retention_percent=retention,
-            noise_grid=grid,
-            loss_curve=[rep.mean_loss for rep in result.history],
-            stream_digest=result.stream_digest,
-            params=result.params,
-        )
-    return AblationResult(
-        learned=arms[GateMode.LEARNED], disabled=arms[GateMode.DISABLED], init=init
-    )

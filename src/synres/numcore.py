@@ -510,11 +510,13 @@ def _causal_mask(n: int, dtype: np.dtype) -> np.ndarray:
     return neg
 
 
-def _row_nll(x: np.ndarray, targets: np.ndarray):
-    """Per-row -log softmax(x)[target] via log-sum-exp in x's dtype, plus the
-    shifted exponentials and their row sums (the cross-entropy vjp needs them)."""
+def _row_nll(x: np.ndarray, targets: np.ndarray, dtype=None):
+    """Per-row -log softmax(x)[target] via log-sum-exp in dtype (x's when
+    None), plus the shifted exponentials and their row sums (the
+    cross-entropy vjp needs them). A wider dtype than x's gives the bits of
+    x.astype(dtype) without that copy of x."""
     m = x.max(axis=1, keepdims=True)
-    e = np.subtract(x, m)
+    e = np.subtract(x, m, dtype=dtype)
     np.exp(e, out=e)
     z = e.sum(axis=1, keepdims=True)
     nll = m[:, 0] + np.log(z[:, 0]) - x[np.arange(x.shape[0]), targets]

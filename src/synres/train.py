@@ -1,5 +1,6 @@
 """Training loop: joint loss with gate regularization, plain SGD on all
-parameters including the gate matrices, and perplexity-triggered lr decay.
+parameters including the gate matrices, perplexity-triggered lr decay, and
+the paired gate-on/gate-off ablation runner.
 
 One backward pass per batch serves both the transformer parameters and the
 synaptic gate matrices; both descend the same loss with the same step size.
@@ -13,8 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import evalsuite
 from . import numcore as nc
-from .datagen import Batch, batches
+from .datagen import Batch, TaskSpec, VocabLayout, batches, build_task_data
 from .model import GateMode, ModelConfig, Params, forward_batch, init_params
 from .numcore import GradGraph, NumericError, Rng, Tensor2
 
@@ -242,9 +244,9 @@ def run_training(
     EpochReport. Deterministic given configs and seeds.
 
     init, when given, is trained in place under model_config's gate mode; its
-    architecture must match model_config's, or ValueError is raised."""
-    from .evalsuite import perplexity  # local import; evalsuite.ablate uses run_training
-
+    architecture must match model_config's, or ValueError is raised. A
+    NumericError in an epoch's steps or its validation forward, or a
+    non-finite validation perplexity, raises TrainingAbort."""
     train_ds, val_ds = data
     config = train_config.resolve(model_config.vocab_size)
     rng = Rng(config.seed)
@@ -264,9 +266,11 @@ def run_training(
         stream = _digested(batches(train_ds, config.batch_size, rng.split()), digest)
         try:
             stats = train_epoch(params, stream, config, lr)
+            val_ppl = evalsuite.perplexity(params, val_ds)
+            if not np.isfinite(val_ppl):
+                raise NumericError(f"validation perplexity {val_ppl}")
         except NumericError as err:
             raise TrainingAbort(f"epoch {epoch}: {err}", epoch, history) from err
-        val_ppl = perplexity(params, val_ds)
         lr, triggered = lr_decay_check(val_ppl, lr, config)
         report = EpochReport(
             epoch=epoch,
@@ -282,3 +286,65 @@ def run_training(
         if on_epoch is not None:
             on_epoch(params, report)
     return TrainResult(params=params, history=history, stream_digest=digest.hexdigest())
+
+
+@dataclass
+class ArmSummary:
+    gate_mode: GateMode
+    final_val_ppl: float
+    retention_percent: float | None
+    noise_grid: evalsuite.NoiseGrid
+    loss_curve: list[float]
+    stream_digest: str
+    params: Params
+
+
+@dataclass
+class AblationResult:
+    learned: ArmSummary
+    disabled: ArmSummary
+    init: Params  # pristine pre-training snapshot shared by both arms
+
+    def rows(self) -> list[ArmSummary]:
+        return [self.learned, self.disabled]
+
+
+def ablate(
+    model_config: ModelConfig,
+    train_config: TrainConfig,
+    task_spec: TaskSpec,
+    layout: VocabLayout,
+    metrics_sink=None,
+    noise_levels=evalsuite.DEFAULT_NOISE_LEVELS,
+    dtype=np.float32,
+) -> AblationResult:
+    """Two full trainings differing only in gate mode (learned vs disabled),
+    on bitwise-identical data and seeds. Each arm's params carry its own gate
+    mode. Deltas are reported, never asserted."""
+    data = build_task_data(task_spec, layout)
+    init = init_params(model_config, Rng(train_config.seed).split(), dtype=dtype)
+    arms = {}
+    for gate_mode in (GateMode.LEARNED, GateMode.DISABLED):
+        arm_config = replace(model_config, gate_mode=gate_mode)
+        on_epoch = (lambda _, rep, m=gate_mode: metrics_sink(m, rep)) if metrics_sink else None
+        result = run_training(
+            arm_config, train_config, data, on_epoch=on_epoch, init=init.copy(), dtype=dtype
+        )
+        retention = None
+        if data[1].meta is not None:
+            retention = evalsuite.retention_probe(result.params, data[1], layout).aggregate_percent
+        grid = evalsuite.noise_robustness(
+            result.params, data[1], layout, levels=noise_levels, rng=Rng(train_config.seed)
+        )
+        arms[gate_mode] = ArmSummary(
+            gate_mode=gate_mode,
+            final_val_ppl=result.history[-1].val_ppl,
+            retention_percent=retention,
+            noise_grid=grid,
+            loss_curve=[rep.mean_loss for rep in result.history],
+            stream_digest=result.stream_digest,
+            params=result.params,
+        )
+    return AblationResult(
+        learned=arms[GateMode.LEARNED], disabled=arms[GateMode.DISABLED], init=init
+    )

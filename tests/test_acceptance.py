@@ -25,7 +25,6 @@ from synres.datagen import (
 )
 from synres.evalsuite import (
     DEFAULT_NOISE_LEVELS,
-    ablate,
     masked_accuracy,
     noise_robustness,
     oracle_retention,
@@ -41,7 +40,7 @@ from synres.model import (
     resonance_gate,
 )
 from synres.persist import load_checkpoint
-from synres.train import TrainConfig, lr_decay_check, run_training, train_epoch, loss
+from synres.train import TrainConfig, ablate, lr_decay_check, run_training, train_epoch, loss
 
 TINY = ModelConfig(vocab_size=11, d_model=8, n_heads=2, n_layers=2, d_ff=16, max_seq_len=8)
 

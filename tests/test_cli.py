@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from synres import cli
 from synres.cli import _task_from_flags, build_parser, main
 from synres.datagen import TaskSpec
 from synres.evalsuite import DEFAULT_NOISE_LEVELS, noise_robustness, perplexity, retention_probe
@@ -403,6 +404,30 @@ def test_bench_default_lengths_fit_the_model(config_path, tmp_path):
 def test_bench_overlength_exit2(config_path, tmp_path):
     rc = main(["bench", "--config", str(config_path), "--seq-lens", "999"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("source,precision,want", [
+    ("ckpt", None, np.float32),
+    ("ckpt", "64", np.float64),
+    ("config", None, np.float32),
+    ("config", "64", np.float64),
+])
+def test_bench_precision_casts_a_checkpoint_and_sizes_a_random_init(
+    monkeypatch, config_path, fresh_ckpt, source, precision, want
+):
+    # the params bench times: a float32 checkpoint is cast only when
+    # --precision is given, as eval casts it; a random init is float32 unless asked
+    seen = []
+
+    def latency_bench(params, **kwargs):
+        seen.extend(t.dtype for _, t in params.named_tensors())
+        raise ValueError("captured")
+
+    monkeypatch.setattr(cli, "latency_bench", latency_bench)
+    args = ["--ckpt", str(fresh_ckpt)] if source == "ckpt" else ["--config", str(config_path)]
+    args += [] if precision is None else ["--precision", precision]
+    assert main(["bench", *args]) == 2
+    assert seen and set(seen) == {np.dtype(want)}
 
 
 def test_bench_needs_exactly_one_source(config_path):

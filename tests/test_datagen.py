@@ -9,7 +9,6 @@ from synres.datagen import (
     VocabLayout,
     batches,
     build_task_data,
-    detokenize,
     gen_copy,
     gen_kv_recall,
     inject_noise,
@@ -166,26 +165,36 @@ def test_kv_protected_positions():
 # --------------------------------------------------------------------------
 
 
+def corpus_spec(path, seq_len=1, val_fraction=0.1):
+    return TaskSpec(kind="corpus", seq_len=seq_len, corpus_path=str(path),
+                    val_fraction=val_fraction)
+
+
+def stream_ids(windows):
+    """The token ids that windows of seq_len 1 cover, in order."""
+    return np.append(windows.tokens[:, 0], windows.targets[-1, 0])
+
+
 def test_corpus_smallest_file(tmp_path):
-    path = tmp_path / "two.bin"
-    path.write_bytes(b"ab")
+    path = tmp_path / "four.bin"
+    path.write_bytes(b"abcd")
     lay = VocabLayout.bytes_()
-    (full,) = load_corpus(path, (1.0,), lay)
-    win = full.windows(1)
-    assert win.n_rows == 1
-    assert win.tokens[0, 0] == ord("a") and win.targets[0, 0] == ord("b")
+    train, val = load_corpus(corpus_spec(path, val_fraction=0.5), lay)
+    assert train.n_rows == 1 and val.n_rows == 1
+    assert train.tokens[0, 0] == ord("a") and train.targets[0, 0] == ord("b")
+    assert val.tokens[0, 0] == ord("c") and val.targets[0, 0] == ord("d")
 
 
 def test_corpus_split_fractions(tmp_path):
     path = tmp_path / "corpus.bin"
     path.write_bytes(bytes(range(256)) * 4)  # 1024 bytes
     lay = VocabLayout.bytes_()
-    train, val = load_corpus(path, (0.9, 0.1), lay)
-    assert len(train.ids) == 922 and len(val.ids) == 102
+    train, val = load_corpus(corpus_spec(path), lay)
+    assert len(stream_ids(train)) == 922 and len(stream_ids(val)) == 102
     path2 = tmp_path / "k.bin"
     path2.write_bytes(b"x" * 1000)
-    train, val = load_corpus(path2, (0.9, 0.1), lay)
-    assert len(train.ids) == 900 and len(val.ids) == 100
+    train, val = load_corpus(corpus_spec(path2), lay)
+    assert len(stream_ids(train)) == 900 and len(stream_ids(val)) == 100
 
 
 def test_corpus_round_trip(tmp_path):
@@ -193,8 +202,8 @@ def test_corpus_round_trip(tmp_path):
     path = tmp_path / "rt.bin"
     path.write_bytes(payload)
     lay = VocabLayout.bytes_()
-    train, val = load_corpus(path, (0.7, 0.3), lay)
-    assert detokenize(train.ids, lay) + detokenize(val.ids, lay) == payload
+    train, val = load_corpus(corpus_spec(path, val_fraction=0.3), lay)
+    assert np.append(stream_ids(train), stream_ids(val)).tolist() == list(payload)
 
 
 def test_corpus_errors(tmp_path):
@@ -202,12 +211,11 @@ def test_corpus_errors(tmp_path):
     empty = tmp_path / "empty.bin"
     empty.write_bytes(b"")
     with pytest.raises(ValueError):
-        load_corpus(empty, (1.0,), lay)
+        load_corpus(corpus_spec(empty), lay)
     small = tmp_path / "one.bin"
     small.write_bytes(b"z")
-    (stream,) = load_corpus(small, (1.0,), lay)
-    with pytest.raises(ValueError):
-        stream.windows(4)
+    with pytest.raises(ValueError, match="shorter than one window"):
+        load_corpus(corpus_spec(small, seq_len=4), lay)
 
 
 # --------------------------------------------------------------------------

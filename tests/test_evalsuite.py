@@ -13,7 +13,6 @@ from synres.evalsuite import (
     EVAL_CHUNK,
     LatencyCurve,
     NoiseGrid,
-    ablate,
     coherence_curve,
     greedy_predictions,
     latency_bench,
@@ -26,7 +25,7 @@ from synres.evalsuite import (
 )
 from synres.model import GateMode, ModelConfig, count_flops, forward_batch, init_params
 from synres.numcore import _row_nll
-from synres.train import TrainConfig
+from synres.train import TrainConfig, ablate
 
 
 def uniform_model(vocab=64, d=16, ctx=40):

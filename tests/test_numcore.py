@@ -259,6 +259,16 @@ def test_row_nll_bitwise_against_the_two_array_formula(dtype):
         want_nll = m[:, 0] + np.log(want_z[:, 0]) - x[np.arange(rows), targets]
         for got, want in ((nll, want_nll), (e, want_e), (z, want_z)):
             assert got.dtype == dtype and got.tobytes() == want.tobytes(), (rows, cols)
+    # dtype=float64 gives the bits of _row_nll(x.astype(float64)) without
+    # that copy of x
+    for rows, cols in ((2560, 261), (64, 64), (1024, 64), (7, 3)):
+        for spread in (1.0, 30.0, 1e4):
+            x = rnd(rows, cols, seed=rows + cols, dtype=dtype, scale=spread).data
+            targets = nc.Rng(cols).integers(0, cols, size=rows)
+            got = nc._row_nll(x, targets, dtype=np.float64)
+            want = nc._row_nll(x.astype(np.float64), targets)
+            for g, w in zip(got, want):
+                assert g.dtype == np.float64 and g.tobytes() == w.tobytes(), (rows, cols, spread)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Loss decomposition, SGD semantics, lr decay rule, and full-run contracts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -484,3 +486,36 @@ def test_run_abort_carries_partial_history():
         run_training(CFG, tc, data)
     assert isinstance(exc.value.history, list)
     assert exc.value.epoch == len(exc.value.history)
+
+
+def test_run_diverged_validation_is_a_numeric_abort():
+    # the steps stay finite, but validation perplexity overflows: exp of a
+    # mean NLL near 1e32 is inf, quietly, and the run aborts at that epoch
+    cfg = ModelConfig(16, 8, 2, 1, 16, 8)
+    init = init_params(cfg, nc.Rng(0))
+    init.unembed.data *= 1e33
+    data = build_task_data(TaskSpec(kind="copy", seq_len=6, samples=64, seed=1),
+                           VocabLayout.synthetic(16))
+    tc = TrainConfig(epochs=1, batch_size=16, lr=1e-5, grad_clip=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingAbort, match="epoch 0: validation perplexity inf") as exc:
+            run_training(cfg, tc, data, init=init)
+    assert exc.value.epoch == 0 and exc.value.history == []
+
+
+def test_run_validation_numeric_error_is_a_numeric_abort(monkeypatch):
+    # a NumericError from the validation forward ends the run like one from a
+    # step: TrainingAbort at that epoch, with the epochs before it
+    calls = []
+
+    def perplexity(params, dataset):
+        calls.append(len(calls))
+        if len(calls) == 2:
+            raise nc.NumericError("non-finite values in logits")
+        return 2.0
+
+    monkeypatch.setattr(train_module.evalsuite, "perplexity", perplexity)
+    with pytest.raises(TrainingAbort, match="epoch 1: non-finite values in logits") as exc:
+        run_training(CFG, TrainConfig(epochs=3, batch_size=8, seed=9), small_data(samples=24))
+    assert exc.value.epoch == 1 and [rep.epoch for rep in exc.value.history] == [0]
