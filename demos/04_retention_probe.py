@@ -6,7 +6,7 @@ Run: python demos/04_retention_probe.py
 """
 
 from synres.datagen import TaskSpec, VocabLayout, gen_kv_recall
-from synres.evalsuite import oracle_retention, retention_probe
+from synres.evalsuite import oracle_retention, retention_probe, score, value_range_for
 from synres.model import ModelConfig, init_params
 from synres.numcore import Rng
 
@@ -17,13 +17,14 @@ print(f"rows look like [K1 V1 ... K{task.pairs} V{task.pairs}, filler..., QUERY,
 print(f"seq_len {task.seq_len}, {task.pairs} pairs, 16 possible values\n")
 
 # a non-neural lookup oracle bounds the scorer from above
-oracle = oracle_retention(data, layout)
+oracle = oracle_retention(data)
 print(f"lookup oracle (reads the prefix directly): {oracle.aggregate_percent:.1f}%")
 
 # an untrained model sits at chance level 1/16
 cfg = ModelConfig(vocab_size=layout.vocab_size, d_model=32, n_heads=4, n_layers=2,
                   d_ff=64, max_seq_len=task.seq_len)
-report = retention_probe(init_params(cfg, Rng(1)), data, layout)
+# retention reads argmax over the value tokens, so chance is exactly 1/16
+report = retention_probe(score(init_params(cfg, Rng(1)), data, value_range_for(data, layout)))
 print(f"untrained model: {report.aggregate_percent:.2f}% (chance is {100 / 16:.2f}%)")
 print("\nper-distance accuracy (untrained):")
 for d, acc in report.per_distance.items():

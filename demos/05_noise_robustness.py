@@ -19,7 +19,7 @@ data = gen_kv_recall(task, layout, Rng(3))
 print("lookup-oracle error rate under noise:")
 for level in (0, 10, 20, 30, 100):
     noisy = inject_noise(data, level / 100, layout, Rng(40 + level))
-    answers = lookup_oracle(noisy, layout)
+    answers = lookup_oracle(noisy)
     err = 100.0 * float((answers != noisy.targets[:, -1]).mean())
     print(f"  noise {level:>3}%: error {err:6.2f}%")
 

@@ -24,6 +24,8 @@ from .evalsuite import (
     noise_robustness,
     perplexity,
     retention_probe,
+    score,
+    value_range_for,
 )
 from .model import GateMode, init_params
 from .numcore import NumericError, Rng
@@ -34,6 +36,7 @@ from .persist import (
     MetricsRow,
     MetricsSink,
     RunSpec,
+    atomic_write,
     config_text,
     load_checkpoint,
     load_config,
@@ -120,7 +123,7 @@ def _emit(rows: list[str], out: str | None, name: str):
     if out:
         path = Path(out)
         path.mkdir(parents=True, exist_ok=True)
-        (path / name).write_text(text)
+        atomic_write(path / name, [text.encode()])
     else:
         sys.stdout.write(text)
 
@@ -207,9 +210,9 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"dataset vocab {layout.vocab_size} != model vocab {params.config.vocab_size}"
         )
-    # keyed by content, so one checkpoint at two paths gives one eval.csv body
-    ckpt_digest = hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest()
-    run_id = _run_id("eval", ckpt_digest, task, mode.value, args.seed)
+    # keyed by the bytes evaluated, so one checkpoint at two paths gives one
+    # eval.csv body, and a file replaced after the load does not name this one
+    run_id = _run_id("eval", ckpt.sha256, task, mode.value, args.seed)
 
     def row(metric, value, phase="eval"):
         return MetricsRow(
@@ -218,21 +221,23 @@ def cmd_eval(args) -> int:
         ).as_csv()
 
     rows = [",".join(METRICS_COLUMNS)]
+    reads = {"perplexity", "retention" if dataset.meta is not None else "coherence"}
+    clean = score(params, dataset, value_range_for(dataset, layout)) if wanted & reads else None
     if "perplexity" in wanted:
-        rows.append(row("perplexity", perplexity(params, dataset)))
+        rows.append(row("perplexity", perplexity(clean)))
     if "retention" in wanted and dataset.meta is not None:
-        report = retention_probe(params, dataset, layout)
+        report = retention_probe(clean)
         rows.append(row("retention_percent", report.aggregate_percent))
         for d in sorted(report.per_distance):
             rows.append(row(f"retention_at_{d}", 100.0 * report.per_distance[d]))
     if "noise" in wanted:
         grid = noise_robustness(
-            params, dataset, layout, levels=args.noise_levels, rng=Rng(args.seed)
+            params, dataset, layout, levels=args.noise_levels, rng=Rng(args.seed), clean=clean
         )
         for level, err in grid.rows:
             rows.append(row(f"error_rate_at_noise_{int(level)}", err))
     if "coherence" in wanted and dataset.meta is None:
-        for t, acc, count in coherence_curve(params, dataset):
+        for t, acc, count in coherence_curve(clean):
             if count:
                 rows.append(row(f"coherence_at_{t}", acc))
     _emit(rows, args.out, "eval.csv")

@@ -1,14 +1,15 @@
 """Measurement surface: perplexity, retention probe, noise grid, coherence
 curve and latency benchmark.
 
-Evaluation never records gradients and never mutates parameters. It
+Evaluation never records gradients and never mutates parameters. Its one
+forward is score(), one pass per dataset, whose Scores every metric reads. It
 computes logits only at the positions a chunk scores (a column of its loss
 mask with a row in), at the README config bitwise the full forward's logits: a
 kv_recall chunk scores 1 position of its 40, a copy chunk 16 of 34. Every
 function runs the gate in params.config's mode; to evaluate the same weights
 under another mode, pass params.with_gate_mode(mode). All accuracy metrics use
-greedy argmax; the retention scorer restricts the argmax to the value-token
-range so chance level is exactly 1/|values|.
+greedy argmax, over the value tokens on rows that carry meta (value_range_for),
+so retention's chance level is exactly 1/|values|.
 """
 
 from __future__ import annotations
@@ -69,47 +70,55 @@ class LatencyCurve:
     repetitions: int
 
 
-def _scored_chunks(params: Params, dataset: Batch):
-    """(first row, chunk, Batch.scored() of the chunk, [(rows*P) x V]
-    logits) for each EVAL_CHUNK rows that score a position; a chunk scoring
-    none runs no forward."""
-    for at in range(0, dataset.n_rows, EVAL_CHUNK):
-        chunk = dataset.rows(slice(at, at + EVAL_CHUNK))
-        scored = chunk.scored()
-        if scored[0].size:
-            yield at, chunk, scored, forward_batch(params, chunk.tokens, positions=scored[0]).data
+@dataclass
+class Scores:
+    """One scoring pass over a dataset, which every eval metric reads: the
+    float64 NLL summed over masked-in positions, their count, and the [B x n]
+    argmax (over value_range when given) where its chunk scores, else -1."""
+
+    dataset: Batch
+    value_range: tuple[int, int] | None
+    nll_sum: float
+    count: int
+    predictions: np.ndarray
 
 
-def perplexity(params: Params, dataset: Batch) -> float:
-    """exp of the token-count-weighted mean NLL over all masked-in positions."""
+def value_range_for(dataset: Batch, layout: VocabLayout) -> tuple[int, int] | None:
+    """The argmax range of every accuracy metric: the value tokens when the
+    rows carry meta (kv_recall), the whole vocabulary (None) otherwise."""
+    return (layout.value_lo, layout.value_hi) if dataset.meta is not None else None
+
+
+def score(params: Params, dataset: Batch, value_range: tuple[int, int] | None = None) -> Scores:
+    """Forward each EVAL_CHUNK rows once, at the positions they score
+    (Batch.scored()); a chunk that scores none runs no forward."""
     if dataset.n_rows == 0:
         raise ValueError("empty evaluation stream")
     total, count = 0.0, 0
-    for _, _, (_, targets, msk), logits in _scored_chunks(params, dataset):
-        safe_tgt = np.where(msk, targets, 0)
-        nll, _, _ = _row_nll(logits, safe_tgt, dtype=np.float64)
-        total += float(nll[msk].sum())
-        count += int(msk.sum())
+    pred = np.full_like(dataset.tokens, -1)
+    for at in range(0, dataset.n_rows, EVAL_CHUNK):
+        chunk = dataset.rows(slice(at, at + EVAL_CHUNK))
+        positions, targets, msk = chunk.scored()
+        if positions.size:
+            logits = forward_batch(params, chunk.tokens, positions=positions).data
+            nll, _, _ = _row_nll(logits, np.where(msk, targets, 0), dtype=np.float64)
+            total += float(nll[msk].sum())
+            count += int(msk.sum())
+            lo, hi = value_range or (0, logits.shape[1])
+            hits = lo + logits[:, lo:hi].argmax(axis=1)
+            pred[at : at + chunk.n_rows, positions] = hits.reshape(chunk.n_rows, -1)
+    return Scores(dataset, value_range, total, count, pred)
+
+
+def perplexity(scores: Scores) -> float:
+    """exp of the token-count-weighted mean NLL over all masked-in positions."""
     with np.errstate(over="ignore"):  # a diverged model's perplexity is inf, quietly
-        return float(np.exp(total / count))
+        return float(np.exp(scores.nll_sum / scores.count))
 
 
-def greedy_predictions(
-    params: Params,
-    dataset: Batch,
-    value_range: tuple[int, int] | None = None,
-) -> np.ndarray:
-    """[B x n] argmax predictions, optionally restricted to a token range,
-    at every position some row of its chunk scores; -1 at the others."""
-    out = np.full_like(dataset.tokens, -1)
-    for at, chunk, (positions, _, _), logits in _scored_chunks(params, dataset):
-        if value_range is not None:
-            lo, hi = value_range
-            pred = lo + logits[:, lo:hi].argmax(axis=1)
-        else:
-            pred = logits.argmax(axis=1)
-        out[at : at + chunk.n_rows, positions] = pred.reshape(chunk.n_rows, positions.size)
-    return out
+def _accuracy(scores: Scores) -> float:
+    msk = scores.dataset.loss_mask
+    return float((scores.predictions[msk] == scores.dataset.targets[msk]).mean())
 
 
 def masked_accuracy(
@@ -118,9 +127,7 @@ def masked_accuracy(
     value_range: tuple[int, int] | None = None,
 ) -> float:
     """Exact-match fraction over masked-in positions."""
-    pred = greedy_predictions(params, dataset, value_range=value_range)
-    msk = dataset.loss_mask
-    return float((pred[msk] == dataset.targets[msk]).mean())
+    return _accuracy(score(params, dataset, value_range))
 
 
 def _by_distance(row_hits: np.ndarray, distances: np.ndarray) -> RetentionReport:
@@ -134,15 +141,15 @@ def _by_distance(row_hits: np.ndarray, distances: np.ndarray) -> RetentionReport
     return RetentionReport(per_distance=per_distance, counts=counts)
 
 
-def retention_probe(params: Params, dataset: Batch, layout: VocabLayout) -> RetentionReport:
+def retention_probe(scores: Scores) -> RetentionReport:
     """Greedy recall of the planted value at each query, bucketed by the
-    planted distance. Argmax is restricted to the value range, making chance
-    level exactly 1/|values|."""
-    if dataset.meta is None:
-        raise ValueError("retention probe needs per-row distance meta")
-    pred = greedy_predictions(params, dataset, value_range=(layout.value_lo, layout.value_hi))
-    hits = pred[dataset.loss_mask] == dataset.targets[dataset.loss_mask]
-    return _by_distance(hits.reshape(dataset.n_rows), dataset.meta)  # one scored position per row
+    planted distance, from scores over the value range (value_range_for):
+    chance level is exactly 1/|values|."""
+    ds = scores.dataset
+    if ds.meta is None or scores.value_range is None:
+        raise ValueError("retention probe needs per-row distance meta and value-range scores")
+    hits = scores.predictions[ds.loss_mask] == ds.targets[ds.loss_mask]
+    return _by_distance(hits.reshape(ds.n_rows), ds.meta)  # one scored position per row
 
 
 def noise_robustness(
@@ -152,25 +159,33 @@ def noise_robustness(
     levels=DEFAULT_NOISE_LEVELS,
     *,
     rng: Rng,
+    clean: Scores | None = None,
 ) -> NoiseGrid:
     """Masked-position error rate after replacing input tokens at each noise
-    level (percent). Level 0 reproduces the clean evaluation bitwise."""
+    level (percent). Level 0 is the clean scores, scored here unless passed as
+    clean (over value_range_for's range, as every level is)."""
     if any(not 0 <= lv <= 100 for lv in levels):
         raise ValueError(f"noise levels must be percentages in [0, 100], got {levels}")
-    value_range = (layout.value_lo, layout.value_hi) if dataset.meta is not None else None
+    value_range = value_range_for(dataset, layout)
+    if clean is not None and (clean.dataset is not dataset or clean.value_range != value_range):
+        raise ValueError("clean scores must be this dataset's, over value_range_for's range")
+    if clean is None and 0 in levels:
+        clean = score(params, dataset, value_range)
     rows = []
     for level in levels:
-        noisy = inject_noise(dataset, level / 100.0, layout, rng.split())
-        acc = masked_accuracy(params, noisy, value_range=value_range)
-        rows.append((float(level), 100.0 * (1.0 - acc)))
+        noise_rng = rng.split()  # level 0 draws its stream too, so later levels keep theirs
+        noisy = inject_noise(dataset, level / 100.0, layout, noise_rng) if level else None
+        scores = score(params, noisy, value_range) if level else clean
+        rows.append((float(level), 100.0 * (1.0 - _accuracy(scores))))
     return NoiseGrid(rows=rows)
 
 
-def coherence_curve(params: Params, dataset: Batch) -> list[tuple[int, float, int]]:
-    """Per-position exact-match accuracy: (position, accuracy, sample count)
-    for every position; positions with no scored samples report zero count."""
-    pred = greedy_predictions(params, dataset)
-    correct = (pred == dataset.targets) & dataset.loss_mask
+def coherence_curve(scores: Scores) -> list[tuple[int, float, int]]:
+    """Per-position exact-match accuracy of the scores' predictions:
+    (position, accuracy, sample count) for every position; positions with no
+    scored samples report zero count."""
+    dataset = scores.dataset
+    correct = (scores.predictions == dataset.targets) & dataset.loss_mask
     rows = []
     for t in range(dataset.seq_len):
         count = int(dataset.loss_mask[:, t].sum())
@@ -217,7 +232,7 @@ def latency_bench(
     return LatencyCurve(rows=rows, gate_mode=cfg.gate_mode, repetitions=repetitions)
 
 
-def lookup_oracle(batch: Batch, layout: VocabLayout) -> np.ndarray:
+def lookup_oracle(batch: Batch) -> np.ndarray:
     """Non-neural recall reference: scan the prefix for the queried key and
     answer with the following token (first value slot if absent). Validates
     the retention scorer at exactly 100% on clean data."""
@@ -235,10 +250,10 @@ def lookup_oracle(batch: Batch, layout: VocabLayout) -> np.ndarray:
     return answers
 
 
-def oracle_retention(batch: Batch, layout: VocabLayout) -> RetentionReport:
+def oracle_retention(batch: Batch) -> RetentionReport:
     """Retention report for the lookup oracle instead of a model."""
     if batch.meta is None:
         raise ValueError("retention probe needs per-row distance meta")
-    answers = lookup_oracle(batch, layout)
+    answers = lookup_oracle(batch)
     hits = answers == batch.targets[np.arange(batch.n_rows), batch.seq_len - 1]
     return _by_distance(hits, batch.meta)

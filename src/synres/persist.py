@@ -9,6 +9,8 @@ loaded parameters reproduce forward outputs bitwise at equal precision.
 from __future__ import annotations
 
 import configparser
+import hashlib
+import itertools
 import os
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
@@ -102,23 +104,17 @@ def _header_section(path, pairs: dict[str, str], cls, section: str):
     return _build(cls, section, raw, lambda msg: CheckpointError(f"{path}: {msg}"), required=True)
 
 
-def _write_container(path, header_lines: list[str], arrays: list[tuple[str, np.ndarray]]):
-    """Write a container atomically: into a temp file in path's directory,
-    fsynced, then renamed over path. A write that raises or is killed
-    leaves the file that was there whole; one that raises removes its temp
-    file."""
-    manifest, offset = [], 0
-    for name, arr in arrays:
-        code = _CODE_OF[arr.dtype]
-        manifest.append(f"tensor {name} {arr.shape[0]} {arr.shape[1]} {code} {offset}")
-        offset += arr.nbytes
+def atomic_write(path, chunks):
+    """Write the byte chunks to path atomically: into a temp file in path's
+    directory, fsynced, then renamed over path. A write that raises or is
+    killed leaves the file that was there whole; one that raises removes its
+    temp file. Every file synres writes whole goes through here."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(("\n".join(header_lines + manifest) + "\n\n").encode())
-            for _, arr in arrays:
-                f.write(np.ascontiguousarray(arr).tobytes())
+            for chunk in chunks:
+                f.write(chunk)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -127,7 +123,21 @@ def _write_container(path, header_lines: list[str], arrays: list[tuple[str, np.n
         raise
 
 
+def _write_container(path, header_lines: list[str], arrays: list[tuple[str, np.ndarray]]):
+    manifest, offset = [], 0
+    for name, arr in arrays:
+        code = _CODE_OF[arr.dtype]
+        manifest.append(f"tensor {name} {arr.shape[0]} {arr.shape[1]} {code} {offset}")
+        offset += arr.nbytes
+    header = ("\n".join(header_lines + manifest) + "\n\n").encode()
+    tensors = (np.ascontiguousarray(arr).tobytes() for _, arr in arrays)
+    atomic_write(path, itertools.chain([header], tensors))
+
+
 def _read_container(path):
+    """(header pairs, name -> array, the bytes read). The manifest must lay
+    its tensors out in order from offset 0, with no gap, overlap or repeated
+    name, and the payload must end where the last one does."""
     raw = Path(path).read_bytes()
     sep = raw.find(b"\n\n")
     if sep < 0:
@@ -151,16 +161,25 @@ def _read_container(path):
     if pairs.get("format") != str(FORMAT_VERSION):
         raise CheckpointError(f"{path}: unsupported container format {pairs.get('format')!r}")
     arrays: dict[str, np.ndarray] = {}
+    end = 0
     for name, rows, cols, code, offset in manifest:
         if code not in _DTYPE_CODES:
             raise CheckpointError(f"{path}: tensor {name}: unknown dtype code {code!r}")
+        if rows < 1 or cols < 1:
+            raise CheckpointError(f"{path}: tensor {name}: dimension below 1 in {rows} x {cols}")
+        if name in arrays:
+            raise CheckpointError(f"{path}: tensor {name}: repeated in the manifest")
+        if offset != end:
+            raise CheckpointError(f"{path}: tensor {name}: offset {offset}, expected {end}")
         dtype = np.dtype(_DTYPE_CODES[code])
-        nbytes = rows * cols * dtype.itemsize
-        chunk = payload[offset : offset + nbytes]
-        if len(chunk) != nbytes:
+        end = offset + rows * cols * dtype.itemsize
+        chunk = payload[offset:end]
+        if len(chunk) != end - offset:
             raise CheckpointError(f"{path}: tensor {name}: payload truncated at offset {offset}")
         arrays[name] = np.frombuffer(chunk, dtype=dtype).reshape(rows, cols).copy()
-    return pairs, arrays
+    if len(payload) != end:
+        raise CheckpointError(f"{path}: payload of {len(payload)} bytes, manifest sums to {end}")
+    return pairs, arrays, raw
 
 
 @dataclass
@@ -169,6 +188,7 @@ class Checkpoint:
     train_config: TrainConfig
     seed: int
     epoch: int
+    sha256: str  # of the bytes it was loaded from
 
 
 def save_checkpoint(path, params: Params, train_config: TrainConfig, seed: int, epoch: int):
@@ -180,7 +200,7 @@ def save_checkpoint(path, params: Params, train_config: TrainConfig, seed: int, 
 
 
 def load_checkpoint(path) -> Checkpoint:
-    pairs, arrays = _read_container(path)
+    pairs, arrays, raw = _read_container(path)
     if pairs.get("kind") != "checkpoint":
         raise CheckpointError(f"{path}: container kind {pairs.get('kind')!r} is not a checkpoint")
     model_config = _header_section(path, pairs, ModelConfig, "model")
@@ -199,7 +219,8 @@ def load_checkpoint(path) -> Checkpoint:
         )
     except ValueError as err:
         raise CheckpointError(f"{path}: {err}") from err
-    return Checkpoint(params=params, train_config=train_config, seed=seed, epoch=epoch)
+    return Checkpoint(params=params, train_config=train_config, seed=seed, epoch=epoch,
+                      sha256=hashlib.sha256(raw).hexdigest())
 
 
 def save_dataset(path, batch: Batch, spec: TaskSpec, layout: VocabLayout):
@@ -222,7 +243,7 @@ def save_dataset(path, batch: Batch, spec: TaskSpec, layout: VocabLayout):
 def load_dataset(path) -> tuple[Batch, TaskSpec, VocabLayout]:
     """The batch, task and layout of a dataset artifact; CheckpointError names
     the file when the arrays fail TaskSpec.check against the header."""
-    pairs, arrays = _read_container(path)
+    pairs, arrays, _ = _read_container(path)
     if pairs.get("kind") != "dataset":
         raise CheckpointError(f"{path}: container kind {pairs.get('kind')!r} is not a dataset")
     spec = _header_section(path, pairs, TaskSpec, "task")
@@ -357,4 +378,4 @@ def config_text(spec: RunSpec) -> str:
 
 
 def save_config(path, spec: RunSpec):
-    Path(path).write_text(config_text(spec))
+    atomic_write(path, [config_text(spec).encode()])

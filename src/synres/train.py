@@ -266,7 +266,7 @@ def run_training(
         stream = _digested(batches(train_ds, config.batch_size, rng.split()), digest)
         try:
             stats = train_epoch(params, stream, config, lr)
-            val_ppl = evalsuite.perplexity(params, val_ds)
+            val_ppl = evalsuite.perplexity(evalsuite.score(params, val_ds))
             if not np.isfinite(val_ppl):
                 raise NumericError(f"validation perplexity {val_ppl}")
         except NumericError as err:
@@ -330,12 +330,12 @@ def ablate(
         result = run_training(
             arm_config, train_config, data, on_epoch=on_epoch, init=init.copy(), dtype=dtype
         )
-        retention = None
-        if data[1].meta is not None:
-            retention = evalsuite.retention_probe(result.params, data[1], layout).aggregate_percent
-        grid = evalsuite.noise_robustness(
-            result.params, data[1], layout, levels=noise_levels, rng=Rng(train_config.seed)
-        )
+        val, clean, retention = data[1], None, None
+        if val.meta is not None:  # retention and noise level 0 read one pass
+            clean = evalsuite.score(result.params, val, evalsuite.value_range_for(val, layout))
+            retention = evalsuite.retention_probe(clean).aggregate_percent
+        grid = evalsuite.noise_robustness(result.params, val, layout, levels=noise_levels,
+                                          rng=Rng(train_config.seed), clean=clean)
         arms[gate_mode] = ArmSummary(
             gate_mode=gate_mode,
             final_val_ppl=result.history[-1].val_ppl,

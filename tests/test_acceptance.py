@@ -29,6 +29,7 @@ from synres.evalsuite import (
     noise_robustness,
     oracle_retention,
     retention_probe,
+    score,
 )
 from synres.model import (
     GateMode,
@@ -301,13 +302,13 @@ def test_criterion_05_retention_scorer_validity():
     layout = VocabLayout.synthetic(5 + spec.pairs + 16, n_keys=spec.pairs, n_values=16)
     data = gen_kv_recall(spec, layout, nc.Rng(13))
 
-    oracle = oracle_retention(data, layout)
+    oracle = oracle_retention(data)
     assert oracle.aggregate_percent == 100.0
 
     cfg = ModelConfig(vocab_size=layout.vocab_size, d_model=32, n_heads=4, n_layers=2,
                       d_ff=64, max_seq_len=spec.seq_len)
     params = init_params(cfg, nc.Rng(14))
-    report = retention_probe(params, data, layout)
+    report = retention_probe(score(params, data, (layout.value_lo, layout.value_hi)))
     chance = 100.0 / 16
     bound = 100.0 * 2.576 * math.sqrt((1 / 16) * (15 / 16) / 4096)  # binomial 99%
     delta = abs(report.aggregate_percent - chance)

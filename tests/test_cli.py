@@ -1,5 +1,7 @@
 """Command surface: exit codes, artifacts, determinism of emitted files."""
 
+import itertools
+import os
 import platform
 import subprocess
 import sys
@@ -8,13 +10,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from synres import cli
+from synres import cli, evalsuite
 from synres.cli import _task_from_flags, build_parser, main
 from synres.datagen import TaskSpec
-from synres.evalsuite import DEFAULT_NOISE_LEVELS, noise_robustness, perplexity, retention_probe
+from synres.evalsuite import (
+    DEFAULT_NOISE_LEVELS, noise_robustness, perplexity, retention_probe, score,
+)
 from synres.model import GateMode, ModelConfig, count_flops, init_params
 from synres.numcore import Rng, Tensor2, randn
 from synres.persist import load_checkpoint, load_dataset, load_config, save_checkpoint, save_dataset
+from synres.train import TrainConfig
 
 SMALL_CONFIG = """\
 [model]
@@ -194,6 +199,58 @@ def test_eval_metrics_flag_rejects_unknown_names(trained, tmp_path, capsys):
     assert metrics == ["perplexity"] + [f"error_rate_at_noise_{lv}" for lv in DEFAULT_NOISE_LEVELS]
 
 
+EVAL_TASKS = {
+    "kv_recall": ["--task", "kv_recall", "--distances", "4,6"],
+    "copy": ["--task", "copy", "--seq-len", "10"],
+}
+
+
+def _eval_forwards(monkeypatch, ckpt, task, *flags) -> float:
+    """evalsuite.forward_batch calls per 64-row chunk of one eval command."""
+    calls = []
+    real = evalsuite.forward_batch
+    monkeypatch.setattr(evalsuite, "forward_batch", lambda *a, **k: calls.append(1) or real(*a, **k))
+    assert main(["eval", str(ckpt), *EVAL_TASKS[task], "--samples", "128", *flags]) == 0
+    monkeypatch.undo()
+    return len(calls) / 2
+
+
+@pytest.fixture
+def random_ckpt(tmp_path):
+    path = tmp_path / "random.ckpt"
+    cfg = ModelConfig(vocab_size=32, d_model=8, n_heads=2, n_layers=1, d_ff=16, max_seq_len=10)
+    save_checkpoint(path, init_params(cfg, Rng(3)), TrainConfig(epochs=1, batch_size=4), 3, 0)
+    return path
+
+
+def test_eval_forwards_the_clean_data_once(random_ckpt, monkeypatch):
+    # every metric reads one clean pass; each nonzero noise level adds one
+    assert _eval_forwards(monkeypatch, random_ckpt, "kv_recall") == 4  # 6 before
+    assert _eval_forwards(monkeypatch, random_ckpt, "copy") == 4  # 6 before
+    for task in EVAL_TASKS:
+        assert _eval_forwards(monkeypatch, random_ckpt, task, "--metrics", "noise",
+                              "--noise-levels", "10,20") == 2
+
+
+def test_eval_forwards_no_more_than_one_pass_per_metric(random_ckpt, monkeypatch):
+    # the count before one clean pass served them all: perplexity, retention
+    # (kv_recall) and coherence (copy) one pass each, and one per noise level
+    for task in EVAL_TASKS:
+        kv = task == "kv_recall"
+        for size in range(1, len(cli.EVAL_METRICS) + 1):
+            for picked in itertools.combinations(cli.EVAL_METRICS, size):
+                for levels in ((0, 10), (10,)):
+                    reads = {"perplexity", "retention" if kv else "coherence"} & set(picked)
+                    noise = len(levels) if "noise" in picked else 0
+                    level0 = noise > 0 and 0 in levels
+                    before = len(reads) + noise
+                    want = (bool(reads) or level0) + noise - level0
+                    got = _eval_forwards(monkeypatch, random_ckpt, task, "--metrics",
+                                         ",".join(picked), "--noise-levels",
+                                         ",".join(map(str, levels)))
+                    assert got == want <= before, (task, picked, levels)
+
+
 def test_eval_deterministic(trained, tmp_path):
     args = ["eval", str(trained), "--task", "kv_recall", "--distances", "4,6",
             "--vocab-size", "32", "--samples", "24"]
@@ -214,6 +271,92 @@ def test_eval_run_id_follows_checkpoint_content(trained, tmp_path):
         assert main(["eval", str(copy), *args, "--out", str(tmp_path / f"ev_{name}")]) == 0
         bodies.append((tmp_path / f"ev_{name}" / "eval.csv").read_text())
     assert bodies[0] == bodies[1]
+
+
+def test_eval_run_id_names_the_bytes_it_loaded(trained, random_ckpt, tmp_path, monkeypatch):
+    # a train that replaces the checkpoint right after eval has loaded it:
+    # eval.csv still names the checkpoint it scored
+    args = ["--task", "copy", "--seq-len", "10", "--vocab-size", "32", "--samples", "8"]
+    assert main(["eval", str(trained), *args, "--out", str(tmp_path / "kept")]) == 0
+    real = cli.load_checkpoint
+
+    def load_then_swap(path):
+        ckpt = real(path)
+        trained.write_bytes(random_ckpt.read_bytes())
+        return ckpt
+
+    monkeypatch.setattr(cli, "load_checkpoint", load_then_swap)
+    assert main(["eval", str(trained), *args, "--out", str(tmp_path / "swapped")]) == 0
+    assert trained.read_bytes() == random_ckpt.read_bytes()
+    kept, swapped = ((tmp_path / name / "eval.csv").read_text() for name in ("kept", "swapped"))
+    assert swapped == kept
+
+
+def _manifest(blob: bytes) -> tuple[dict[str, str], int]:
+    """A container's manifest lines by tensor name, and its payload size."""
+    end = blob.index(b"\n\n")
+    lines = blob[:end].decode().splitlines()
+    return {line.split()[1]: line for line in lines if line.startswith("tensor ")}, len(blob) - end - 2
+
+
+def _relaid(blob: bytes) -> bytes:
+    """A container whose manifest shapes were edited, laid out again: each
+    tensor keeps the leading bytes its new shape holds, packed from offset 0."""
+    end = blob.index(b"\n\n")
+    lines, tensors, offset = [], [], 0
+    for line in blob[:end].decode().splitlines():
+        if line.startswith("tensor "):
+            _, name, rows, cols, code, at = line.split()
+            nbytes = int(rows) * int(cols) * {"f4": 4, "f8": 8, "i8": 8, "b1": 1}[code]
+            tensors.append(blob[end + 2 + int(at) :][:nbytes])
+            line = f"tensor {name} {rows} {cols} {code} {offset}"
+            offset += nbytes
+        lines.append(line)
+    return ("\n".join(lines) + "\n\n").encode() + b"".join(tensors)
+
+
+@pytest.mark.parametrize("edit", ["dimension", "repeated", "overlap", "trailing"])
+def test_eval_container_layout_exit5_names_the_file(random_ckpt, capsys, edit):
+    # the manifest lays the tensors out from offset 0 in order, each once,
+    # with every dimension at least 1, and the payload ends with the last
+    blob = random_ckpt.read_bytes()
+    lines, size = _manifest(blob)
+    tok, pos, w_q = lines["tok_emb"], lines["pos_emb"], lines["layer0.w_q"]
+    rows, cols, offset = tok.split()[2], tok.split()[3], pos.split()[5]
+    if edit == "dimension":  # reshape's ValueError escaped as exit 2
+        blob = blob.replace(tok.encode(), f"tensor tok_emb -{rows} -{cols} f4 0".encode())
+        message = f"tensor tok_emb: dimension below 1 in -{rows} x -{cols}"
+    elif edit == "repeated":  # the last line for a name won, silently
+        second = f"tensor tok_emb {rows} {cols} f4 {w_q.split()[5]}"
+        blob = blob.replace(tok.encode(), f"{tok}\n{second}".encode())
+        message = "tensor tok_emb: repeated in the manifest"
+    elif edit == "overlap":  # two tensors read the same bytes
+        blob = blob.replace(pos.encode(), pos.rsplit(" ", 1)[0].encode() + b" 0")
+        message = f"tensor pos_emb: offset 0, expected {offset}"
+    else:  # bytes after the last tensor were never read
+        blob += bytes(4)
+        message = f"payload of {size + 4} bytes, manifest sums to {size}"
+    random_ckpt.write_bytes(blob)
+    rc = main(["eval", str(random_ckpt), "--task", "copy", "--seq-len", "10", "--samples", "8"])
+    assert rc == 5
+    assert f"corrupt checkpoint: {random_ckpt}: {message}" in capsys.readouterr().err
+
+
+def test_eval_csv_write_that_fails_leaves_the_previous_file(random_ckpt, tmp_path, monkeypatch):
+    out = tmp_path / "ev"
+    args = ["eval", str(random_ckpt), "--task", "copy", "--seq-len", "10", "--samples", "8",
+            "--out", str(out)]
+    assert main(args) == 0
+    before = (out / "eval.csv").read_bytes()
+
+    def no_space(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", no_space)
+    assert main(args + ["--metrics", "perplexity"]) == 4
+    monkeypatch.undo()
+    assert (out / "eval.csv").read_bytes() == before
+    assert sorted(out.iterdir()) == [out / "eval.csv"]  # no temp file behind
 
 
 def test_eval_from_artifact(trained, tmp_path):
@@ -250,7 +393,9 @@ def artifact(tmp_path):
 def test_eval_artifact_with_mis_shaped_rows_exit5(trained, artifact, capsys, line, short, message):
     blob = artifact.read_bytes()
     assert blob.count(line) == 1
-    artifact.write_bytes(blob.replace(line, short))
+    # laid out again for the new shape, so the container's layout holds and
+    # the dataset's own row check is the one that fails
+    artifact.write_bytes(_relaid(blob.replace(line, short)))
     assert main(["eval", str(trained), "--data", str(artifact)]) == 5
     assert f"{artifact}: {message}" in capsys.readouterr().err
 
@@ -355,16 +500,17 @@ def test_eval_gate_mode_runs_the_checkpoint_weights_under_that_mode(trained, tmp
     dataset, _, layout = load_dataset(art)
     learned = load_checkpoint(trained).params
     params = learned.with_gate_mode(GateMode.DISABLED)
-    report = retention_probe(params, dataset, layout)
+    clean = score(params, dataset, (layout.value_lo, layout.value_hi))
+    report = retention_probe(clean)
     grid = noise_robustness(params, dataset, layout, rng=Rng(0))
     want = {
-        "perplexity": perplexity(params, dataset),
+        "perplexity": perplexity(clean),
         "retention_percent": report.aggregate_percent,
         **{f"retention_at_{d}": 100.0 * r for d, r in report.per_distance.items()},
         **{f"error_rate_at_noise_{int(level)}": err for level, err in grid.rows},
     }
     assert got == want
-    assert want["perplexity"] != perplexity(learned, dataset)
+    assert want["perplexity"] != perplexity(score(learned, dataset))
 
 
 # --------------------------------------------------------------------------

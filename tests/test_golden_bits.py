@@ -143,7 +143,7 @@ def digests(work: Path) -> dict[str, str]:
                      "--seed", "3", "--out", str(out / "eval")]) == 0
         got[f"{mode}.eval.csv"] = _sha((out / "eval" / "eval.csv").read_bytes())
         # eval by flags on copy data: perplexity on the scored columns of a
-        # full and a half chunk, coherence through greedy_predictions, noise
+        # full and a half chunk, coherence from the same scores, noise
         assert main(["eval", str(out / "last.ckpt"), "--task", "copy", "--seq-len", "34",
                      "--vocab-size", "64", "--samples", str(COPY_EVAL_SAMPLES), "--task-seed", "2",
                      "--seed", "3", "--out", str(out / "eval_copy")]) == 0

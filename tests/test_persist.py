@@ -145,9 +145,38 @@ def test_a_failed_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch, fai
     assert load_checkpoint(path).epoch == 2 and sorted(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("failing", ["fsync", "replace"])
+def test_a_failed_config_write_leaves_the_previous_config(tmp_path, monkeypatch, failing):
+    # config.txt goes through the same atomic writer as a checkpoint
+    path = tmp_path / "config.txt"
+    save_config(path, RunSpec(model=CFG, train=TCFG, task=None))
+    before = path.read_bytes()
+    monkeypatch.setattr(os, failing, _raise_os_error)
+    with pytest.raises(OSError, match="no space left"):
+        save_config(path, RunSpec(model=CFG, train=None, task=None))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [path]  # no temp file behind
+    assert load_config(path).train == TCFG
+
+
 # --------------------------------------------------------------------------
 # dataset artifacts
 # --------------------------------------------------------------------------
+
+
+def test_dataset_with_bytes_after_its_last_tensor_is_corrupt(tmp_path):
+    # datasets share the container, and with it the layout check
+    spec = TaskSpec(kind="copy", seq_len=8, samples=4, seed=1)
+    layout = VocabLayout.synthetic(16)
+    path = tmp_path / "data.ds"
+    save_dataset(path, gen_copy(spec, layout, nc.Rng(1)), spec, layout)
+    blob = path.read_bytes()
+    size = len(blob) - blob.index(b"\n\n") - 2
+    path.write_bytes(blob + bytes(8))
+    message = f"data.ds: payload of {size + 8} bytes, manifest sums to {size}$"
+    with pytest.raises(CheckpointError, match=message):
+        load_dataset(path)
 
 
 @pytest.mark.parametrize("kind", ["kv_recall", "copy"])

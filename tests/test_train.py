@@ -508,14 +508,15 @@ def test_run_validation_numeric_error_is_a_numeric_abort(monkeypatch):
     # a NumericError from the validation forward ends the run like one from a
     # step: TrainingAbort at that epoch, with the epochs before it
     calls = []
+    real = train_module.evalsuite.score
 
-    def perplexity(params, dataset):
+    def score(params, dataset):
         calls.append(len(calls))
         if len(calls) == 2:
             raise nc.NumericError("non-finite values in logits")
-        return 2.0
+        return real(params, dataset)
 
-    monkeypatch.setattr(train_module.evalsuite, "perplexity", perplexity)
+    monkeypatch.setattr(train_module.evalsuite, "score", score)
     with pytest.raises(TrainingAbort, match="epoch 1: non-finite values in logits") as exc:
         run_training(CFG, TrainConfig(epochs=3, batch_size=8, seed=9), small_data(samples=24))
     assert exc.value.epoch == 1 and [rep.epoch for rep in exc.value.history] == [0]
