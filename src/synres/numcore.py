@@ -255,7 +255,7 @@ def run_deferred(body, graph: GradGraph | None, *args):
 
 
 def _mm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a @ b for every forward product, into out when given, never on one
+    """a @ b for a forward product, into out when given, never on one
     row (axis -2): numpy hands that to gemv, whose bits differ from gemm's,
     so a lone row is multiplied doubled and the first copy kept."""
     if a.shape[-2] != 1:
@@ -503,11 +503,33 @@ def gather_rows(table: Tensor2, indices: np.ndarray, graph: GradGraph | None = N
 
 @functools.lru_cache(maxsize=64)
 def _causal_mask(n: int, dtype: np.dtype) -> np.ndarray:
-    """Read-only n x n additive score mask: 0 on and below the diagonal, -inf
-    above, so exp gives the future positions a weight of exactly 0."""
-    neg = np.triu(np.full((n, n), -np.inf, dtype=dtype), 1)
+    """Read-only key-major [key x query] additive score mask: -inf where the
+    key follows the query, else 0, so exp gives it a weight of exactly 0."""
+    neg = np.tril(np.full((n, n), -np.inf, dtype=dtype), -1)
     neg.flags.writeable = False
     return neg
+
+
+def _sum_lead(x: np.ndarray) -> np.ndarray:
+    """The column sums of an [m x R] array, bitwise as numpy sums each
+    column as one contiguous row: 8 accumulators from +0.0 up to 128 items,
+    combined in 3 levels, then the tail in order; a longer row in halves.
+    Each step is one op over all R columns; at R <= 256, one transposed copy
+    and numpy's own reduce are faster."""
+    m, cols = x.shape
+    if cols <= 256:
+        return np.add.reduce(x.T.copy(), axis=1)
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        return _sum_lead(x[:half]) + _sum_lead(x[half:])
+    m8 = m - m % 8
+    r = np.add.reduce(x[:m8].reshape(-1, 8, cols), axis=0)
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    res = r[0] + r[1]
+    for t in x[m8:]:
+        res += t
+    return res
 
 
 def _row_nll(x: np.ndarray, targets: np.ndarray, dtype=None):
@@ -586,6 +608,10 @@ def multihead_attention(
     Returns the [(n_seqs*P) x d] head-concatenated output. It, and the
     vjp's dq, dk and dv, are written per head straight into that layout
     through a transposed view, so no merge copy is made.
+
+    The scores are key-major, k @ q^T, their softmax summed down axis 0 in
+    numpy's row order (_sum_lead): the row-major formula's bits wherever
+    the BLAS rounds k @ q^T as the transpose of q @ k^T.
     """
     if k.shape != v.shape or q.cols != k.cols:
         raise DimensionError("multihead_attention: q/k/v shapes differ")
@@ -608,15 +634,29 @@ def multihead_attention(
     def split_heads(t):  # [(S*m) x d] -> [S, h, m, dh]
         return t.reshape(n_seqs, -1, n_heads, dh).transpose(0, 2, 1, 3)
 
+    def key_major(t):  # [n, S, h, P] -> each head's [n x P] block, [S, h, n, P]
+        return t.transpose(1, 2, 0, 3)
+
     q4, k4, v4 = split_heads(q.data), split_heads(k.data), split_heads(v.data)
-    # the softmax runs in place on one score buffer, which becomes p
-    p = _mm(q4, k4.transpose(0, 1, 3, 2))
-    p *= inv
+    # the softmax runs in place on one key-major score buffer, whose head
+    # blocks BLAS writes through a strided view, and which becomes p
+    pT = np.empty((n, n_seqs, n_heads, rows), dtype=q.dtype)
+    if rows == 1:  # a lone query column would go to gemv: q is doubled along
+        # its rows, so B stays transposed (a doubled row-major column rounds
+        # otherwise), and the first column kept
+        q2 = np.concatenate((q4, q4), axis=2)
+        key_major(pT)[...] = _mm(k4, q2.transpose(0, 1, 3, 2))[..., :1]
+    else:
+        np.matmul(k4, q4.transpose(0, 1, 3, 2), out=key_major(pT))
+    pT *= inv
     neg = _causal_mask(n, q.dtype)
-    p += neg if queries is None else neg[queries]
-    p -= p.max(axis=3, keepdims=True)
+    pT += (neg if queries is None else neg[:, queries])[:, None, None, :]
+    # a column of p is one softmax row: its max, sum and broadcasts are a
+    # few ops over all S*h*P columns at once
+    p = pT.reshape(n, -1)
+    p -= np.maximum.reduce(p, axis=0)
     np.exp(p, out=p)
-    p /= p.sum(axis=3, keepdims=True)
+    p /= _sum_lead(p)
 
     def merged(rows):  # a fresh [rows x d] array and its [S, h, m, dh] view
         out = np.empty((rows, d), dtype=q.dtype)
@@ -624,21 +664,25 @@ def multihead_attention(
 
     def vjp(g):
         g4 = split_heads(g)
-        ds = g4 @ v4.transpose(0, 1, 3, 2)  # dp, turned into ds in place
+        dsT = np.empty_like(pT)  # dp, turned into ds in place
+        np.matmul(v4, g4.transpose(0, 1, 3, 2), out=key_major(dsT))
         dq, dq4 = merged(q.rows)
         dk, dk4 = merged(total)
         dv, dv4 = merged(total)
-        np.matmul(p.transpose(0, 1, 3, 2), g4, out=dv4)
-        ds -= (p * ds).sum(axis=3, keepdims=True)
-        ds *= p
-        np.matmul(ds, k4, out=dq4)
+        np.matmul(key_major(pT), g4, out=dv4)
+        ds_cols = dsT.reshape(n, -1)
+        ds_cols -= _sum_lead(p * ds_cols)
+        ds_cols *= p
+        ds = dsT.transpose(1, 2, 3, 0)
+        # a lone query's ds row goes contiguous: a strided gemv rounds otherwise
+        np.matmul(np.ascontiguousarray(ds) if rows == 1 else ds, k4, out=dq4)
         dq4 *= inv
-        np.matmul(ds.transpose(0, 1, 3, 2), q4, out=dk4)
+        np.matmul(key_major(dsT), q4, out=dk4)
         dk4 *= inv
         return dq, dk, dv
 
     out_data, out4 = merged(q.rows)
-    _mm(p, v4, out=out4)
+    _mm(pT.transpose(1, 2, 3, 0), v4, out=out4)
     return _result("multihead_attention", out_data, graph, (q, k, v), vjp)
 
 

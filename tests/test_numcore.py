@@ -711,10 +711,16 @@ def test_layer_norm_bitwise_against_formula(dtype):
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_attention_bitwise_against_formula(dtype, every_query):
     # the kernel against the formula's -1e9 mask and hard zero: the two give
-    # the same bits wherever a row's visible scores span less than 1e9
-    n_seqs, n_heads, n = 3, 4, 34
-    q, k, v = (rnd(3 * n, 64, seed=s, dtype=dtype, scale=2.0) for s in (46, 47, 48))
-    g = rnd(3 * n, 64, seed=49, dtype=dtype).data
+    # the same bits wherever a row's visible scores span less than 1e9; key
+    # counts on both sides of the softmax sum's 8-wide and 128-item steps
+    for n in (34, 1, 7, 8, 9, 130):
+        _attention_against_formula(dtype, every_query, n)
+
+
+def _attention_against_formula(dtype, every_query, n):
+    n_seqs, n_heads = 3, 4
+    q, k, v = (rnd(n_seqs * n, 64, seed=s, dtype=dtype, scale=2.0) for s in (46, 47, 48))
+    g = rnd(n_seqs * n, 64, seed=49, dtype=dtype).data
     ref_out, ref_p, ref_grads = ref_attention(q.data, k.data, v.data, n_heads, n_seqs, g)
     if every_query:
         out, vjp = _vjp_of_last_op(lambda graph: nc.multihead_attention(
@@ -727,8 +733,10 @@ def test_attention_bitwise_against_formula(dtype, every_query):
         return
 
     # query subsets, one row included: the full formula's rows, as no
-    # forward product runs on one row, and the formula's vjp at those rows of p
-    for queries in ([n - 1], [0, n - 1], list(range(9, 21)), list(range(n))):
+    # forward product runs on one row or column, and the formula's vjp at
+    # those rows of p
+    subsets = ([n - 1], [0, n - 1], list(range(9, 21)), list(range(n))) if n == 34 else ([n - 1],)
+    for queries in subsets:
         rows = (np.arange(n_seqs)[:, None] * n + queries).reshape(-1)
         qs, gs = nc.Tensor2(q.data[rows]), g[rows]
         out, vjp = _vjp_of_last_op(lambda graph: nc.multihead_attention(
@@ -739,6 +747,22 @@ def test_attention_bitwise_against_formula(dtype, every_query):
         want = ref_attention(qs.data, k.data, v.data, n_heads, n_seqs, gs, queries, p)
         for got, ref in zip(vjp(gs), want[2]):
             assert_bitwise(got, ref)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_sum_lead_bitwise_against_numpy_row_sum(dtype):
+    # numpy's order for one contiguous row (8 accumulators, the halving
+    # above 128 items) over every width to 300, at row counts on both sides
+    # of the transposed-copy branch; signed zeros sum to +0.0. A numpy
+    # release that changes its pairwise order fails here first.
+    rng = np.random.default_rng(64)
+    for width in range(1, 301):
+        for rows in (1, 200, 256, 257, 720):
+            x = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-6, 7, (rows, width))
+            x[0], x[-1, ::2] = -0.0, 0.0
+            x[-1, 1::2] = -0.0
+            x = x.astype(dtype)
+            assert_bitwise(nc._sum_lead(x.T.copy()), np.add.reduce(x, axis=-1))
 
 
 @pytest.mark.parametrize("queries", [[5], [0, 3], [2, 3, 4]])
@@ -930,9 +954,10 @@ def test_causal_masks_are_cached_read_only():
     neg = nc._causal_mask(5, x.dtype)
     assert nc._causal_mask(5, np.dtype(np.float32)) is neg
     assert neg.dtype == np.float32 and not neg.flags.writeable
-    np.testing.assert_array_equal(neg, np.where(np.tri(5, dtype=bool), 0.0, -np.inf))
+    # key-major, [key x query]: a key after its query is masked
+    np.testing.assert_array_equal(neg, np.where(np.tri(5, dtype=bool).T, 0.0, -np.inf))
     with pytest.raises(ValueError):
-        neg[0, 1] = 0.0
+        neg[1, 0] = 0.0
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
