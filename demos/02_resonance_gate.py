@@ -23,12 +23,14 @@ print("reinforced o = a * r:\n", np.round(o.data, 4))
 r0, o0 = resonance_gate(a, nc.zeros(2, 2), GateMode.LEARNED)
 print("\nzero w_s -> r is 0.5 everywhere, o halves a:", np.allclose(o0.data, 0.5 * a.data))
 
-# forced_ones and disabled both bypass the gate; they differ only in whether
-# w_s stays a (frozen) graph participant
-r1, o1 = resonance_gate(a, w_s, GateMode.FORCED_ONES)
-_, o2 = resonance_gate(a, w_s, GateMode.DISABLED)
-print("forced_ones returns a itself:", o1 is a)
-print("disabled matches bitwise:", bool((o1.data == o2.data).all()))
+# forced_ones and disabled both bypass the gate, and in neither does a graph
+# edge touch w_s; they differ only in returning r as ones or as None
+off_graph = nc.GradGraph()
+r1, o1 = resonance_gate(a, w_s, GateMode.FORCED_ONES, graph=off_graph)
+r2, o2 = resonance_gate(a, w_s, GateMode.DISABLED, graph=off_graph)
+print("forced_ones returns a itself, r all ones:", o1 is a, bool((r1.data == 1.0).all()))
+print("disabled matches bitwise, r is None:", bool((o1.data == o2.data).all()), r2 is None)
+print("graph records made by either mode:", off_graph.n_ops)
 
 # gradients flow into w_s only in learned mode
 graph = nc.GradGraph()

@@ -145,11 +145,14 @@ def cmd_train(args) -> int:
     train_cfg = train_cfg.resolve(model_cfg.vocab_size)
     resolved = RunSpec(model=model_cfg, train=train_cfg, task=task)
 
+    # the task must fit the model before --out is written
+    layout = layout_for(task, model_cfg.vocab_size)
+    if task.seq_len > model_cfg.max_seq_len:
+        raise ConfigError(f"dataset seq_len {task.seq_len} exceeds model max {model_cfg.max_seq_len}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_config(out / "config.txt", resolved)
 
-    layout = layout_for(task, model_cfg.vocab_size)
     data = build_task_data(task, layout)
     run_id = _run_id(config_text(resolved), train_cfg.seed)
     mode = model_cfg.gate_mode.value

@@ -166,6 +166,8 @@ def noise_robustness(
     clean (over value_range_for's range, as every level is)."""
     if any(not 0 <= lv <= 100 for lv in levels):
         raise ValueError(f"noise levels must be percentages in [0, 100], got {levels}")
+    if any(b <= a for a, b in zip(levels, levels[1:])):  # before any chunk is scored
+        raise ValueError(f"noise levels must be strictly increasing, got {levels}")
     value_range = value_range_for(dataset, layout)
     if clean is not None and (clean.dataset is not dataset or clean.value_range != value_range):
         raise ValueError("clean scores must be this dataset's, over value_range_for's range")

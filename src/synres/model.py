@@ -234,9 +234,9 @@ def resonance_gate(
 ) -> tuple[Tensor2 | None, Tensor2]:
     """Relevance gating of the attention output.
 
-    learned: r = sigmoid(a @ w_s), o = a * r. forced_ones: r is all ones and
-    o is a itself. disabled: the gate is skipped (r is None, o is a) and no
-    graph edges touch w_s, so it receives an exact-zero gradient.
+    learned: r = sigmoid(a @ w_s), o = a * r. forced_ones and disabled skip
+    the gate: o is a itself and no graph edge touches w_s, so it receives an
+    exact-zero gradient; they differ only in r, all ones or None.
     """
     mode = GateMode(mode)
     if w_s.shape != (a.cols, a.cols):
@@ -264,21 +264,10 @@ def _forward_impl(params, tokens, mode, graph, want_trace, positions=None):
     if positions is not None:
         positions = _check_positions(positions, n)
     mode = GateMode(mode if mode is not None else cfg.gate_mode)
-    if tokens.shape[0] == 1 or graph is not None or want_trace:
-        return nc.run_deferred(_forward_body, graph, params, tokens, mode, positions, want_trace)
-    # the tail runs on the kept rows of as many sequences as fit the budget,
-    # their trunk in blocks of its own; every op is local to a row or a
-    # sequence, so the logits are one pass's rows, bitwise where the BLAS
-    # rounds a matmul row alike at any row count (README, Memory and speed)
-    rows = n if positions is None else positions.size
-    tails = nc.tile_bounds(
-        tokens.shape[0], params.dtype.itemsize * rows * max(cfg.d_ff, cfg.vocab_size), BLOCK_BUDGET
-    )
-    logits = np.empty((tokens.shape[0] * rows, cfg.vocab_size), dtype=params.dtype)
-    for lo, hi in zip(tails, tails[1:]):
-        block, _ = nc.run_deferred(_blocked_body, None, params, tokens[lo:hi], mode, positions)
-        logits[lo * rows : hi * rows] = block.data
-    return Tensor2(logits), None
+    # one deferred run per call, so a fault anywhere replays the whole call
+    whole = tokens.shape[0] == 1 or graph is not None or want_trace
+    body = _forward_body if whole else _blocked_body
+    return nc.run_deferred(body, graph, params, tokens, mode, positions, want_trace)
 
 
 def _check_positions(positions, n):
@@ -293,13 +282,6 @@ def _check_positions(positions, n):
     return None if p.size == n else p
 
 
-def _block_bounds(cfg, n_seqs, n, itemsize):
-    """Sequence bounds of near-equal blocks, each within BLOCK_BUDGET if a
-    sequence fits."""
-    per_seq = itemsize * n * max(cfg.d_ff, cfg.vocab_size, cfg.n_heads * n)
-    return nc.tile_bounds(n_seqs, per_seq, BLOCK_BUDGET)
-
-
 def _forward_body(params, tokens, mode, positions, want_trace, graph):
     """The forward on validated [B x n] tokens; every op checks unless deferred.
     With positions, the last layer's queries, and everything after its
@@ -309,16 +291,30 @@ def _forward_body(params, tokens, mode, positions, want_trace, graph):
     return _tail(params, x, core, mode, trace, graph)
 
 
-def _blocked_body(params, tokens, mode, positions, graph):
-    """_forward_body without a trace, its trunk run in blocks of whole
-    sequences (_block_bounds) and its tail once, on every block's rows."""
-    bounds = _block_bounds(params.config, *tokens.shape, params.dtype.itemsize)
-    parts = [_trunk(params, tokens[lo:hi], mode, positions, False, graph)[:2]
-             for lo, hi in zip(bounds, bounds[1:])]
-    x, core = (ts[0] if len(ts) == 1 else Tensor2(np.concatenate([t.data for t in ts]))
-               for ts in zip(*parts))
-    del parts  # the blocks' rows live on in the copies alone
-    return _tail(params, x, core, mode, None, graph)
+def _blocked_body(params, tokens, mode, positions, want_trace, graph):
+    """_forward_body on more than one sequence, with no graph or trace, in
+    blocks of whole sequences: the tail runs on the kept rows of as many
+    sequences as fit BLOCK_BUDGET at [rows x max(d_ff, vocab)], their trunk
+    in blocks of its own at [n x max(d_ff, vocab, heads*n)] per sequence.
+    Every op is local to a row or a sequence, so the logits are one pass's
+    rows, bitwise where the BLAS rounds a matmul row alike at any row count
+    (README, Memory and speed)."""
+    cfg, itemsize = params.config, params.dtype.itemsize
+    n_seqs, n = tokens.shape
+    rows = n if positions is None else positions.size
+    wide = max(cfg.d_ff, cfg.vocab_size)
+    logits = np.empty((n_seqs * rows, cfg.vocab_size), dtype=params.dtype)
+    tails = nc.tile_bounds(n_seqs, itemsize * rows * wide, BLOCK_BUDGET)
+    for lo, hi in zip(tails, tails[1:]):
+        blocks = nc.tile_bounds(hi - lo, itemsize * n * max(wide, cfg.n_heads * n), BLOCK_BUDGET)
+        parts = [_trunk(params, tokens[lo + a : lo + b], mode, positions, False, graph)[:2]
+                 for a, b in zip(blocks, blocks[1:])]
+        x, core = (ts[0] if len(ts) == 1 else Tensor2(np.concatenate([t.data for t in ts]))
+                   for ts in zip(*parts))
+        del parts  # the blocks' rows live on in the copies alone
+        logits[lo * rows : hi * rows] = _tail(params, x, core, mode, None, graph)[0].data
+        del x, core  # dead before the next tail's trunk runs
+    return Tensor2(logits), None
 
 
 def _trunk(params, tokens, mode, positions, want_trace, graph):

@@ -94,25 +94,24 @@ def loss(
     logits: Tensor2,
     targets,
     mask,
-    synaptic: list[Tensor2],
+    params: Params,
     reg_weight: float,
     graph: GradGraph | None = None,
-    synaptic_frozen: bool = False,
 ) -> tuple[Tensor2, Tensor2, Tensor2]:
-    """total = cross entropy + reg_weight * sum of squared gate norms.
+    """total = cross entropy + reg_weight * sum of params' squared gate norms.
 
-    Returns (total, ce, reg); total is the backward root. With
-    synaptic_frozen the reg term is computed off the graph, so it enters the
-    total as a constant leaf: its value still reports, but no gradient
-    reaches the gate matrices.
+    Returns (total, ce, reg); total is the backward root. The reg term is on
+    the graph exactly when params.config's gate is learned; otherwise it is
+    computed off the graph and enters the total as a constant leaf: its value
+    still reports, but no gradient reaches the gate matrices, so a gate that
+    does not run never moves.
     """
     ce = nc.cross_entropy_logits(logits, targets, mask, graph)
-    if not synaptic or reg_weight == 0.0:
-        reg = nc.zeros(1, 1, dtype=logits.dtype)
-        return ce, ce, reg
-    reg_graph = None if synaptic_frozen else graph
+    if reg_weight == 0.0:
+        return ce, ce, nc.zeros(1, 1, dtype=logits.dtype)
+    reg_graph = graph if params.config.gate_mode == GateMode.LEARNED else None
     raw = None
-    for w_s in synaptic:
+    for w_s in params.synaptic():
         term = nc.frobenius_sq(w_s, reg_graph)
         raw = term if raw is None else nc.add(raw, term, reg_graph)
     reg = nc.scale(raw, reg_weight, reg_graph)
@@ -179,7 +178,6 @@ def train_epoch(
     and the loss run only at the columns the batch scores (Batch.scored):
     the other rows would carry exact-zero gradients back. on_step(index,
     total, ce, reg) is called with each step's loss values."""
-    frozen = params.config.gate_mode != GateMode.LEARNED
     names, tensors = zip(*params.named_tensors())
     totals = np.zeros(3, dtype=np.float64)
     stats = EpochStats()
@@ -188,15 +186,7 @@ def train_epoch(
             graph = GradGraph()
             positions, targets, mask = batch.scored()
             logits = forward_batch(params, batch.tokens, graph=graph, positions=positions)
-            total, ce, reg = loss(
-                logits,
-                targets,
-                mask,
-                params.synaptic(),
-                config.reg_weight,
-                graph=graph,
-                synaptic_frozen=frozen,
-            )
+            total, ce, reg = loss(logits, targets, mask, params, config.reg_weight, graph=graph)
             grads = dict(zip(names, nc.backward(graph, total, tensors)))
             sgd_step(params, grads, lr, config.grad_clip)
         except NumericError as err:

@@ -117,7 +117,7 @@ def _model_case(dtype):
     def fn(graph):
         logits = forward_batch(params.with_gate_mode(GateMode.LEARNED), tokens, graph=graph)
         total, _, _ = loss(
-            logits, targets, np.ones(5, dtype=bool), params.synaptic(), 1e-3, graph=graph
+            logits, targets, np.ones(5, dtype=bool), params, 1e-3, graph=graph
         )
         return total
 
@@ -184,8 +184,7 @@ def test_criterion_01_covers_every_recorded_op(mode):
     tokens = np.random.default_rng(0).integers(0, TINY.vocab_size, size=(2, 5))
     graph = nc.GradGraph()
     logits = forward_batch(params, tokens, graph=graph)
-    loss(logits, tokens.reshape(-1), np.ones(10, dtype=bool), params.synaptic(), 1e-3,
-         graph=graph, synaptic_frozen=mode != GateMode.LEARNED)
+    loss(logits, tokens.reshape(-1), np.ones(10, dtype=bool), params, 1e-3, graph=graph)
     recorded = {vjp.__qualname__.split(".")[0] for _, _, vjp in graph._records}
     assert recorded - set(_op_cases(np.float64)) == set()
     if mode == GateMode.LEARNED:

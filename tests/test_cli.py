@@ -107,6 +107,20 @@ def test_train_numeric_abort_exit3(config_path, tmp_path, capsys):
     assert "numeric" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task,message", [
+    ("kind = copy\nseq_len = 34", "dataset seq_len 34 exceeds model max 16"),
+    ("kind = corpus\nseq_len = 10\ncorpus_path = corpus.txt", "corpus tasks need vocab_size 261"),
+], ids=["seq_len", "corpus_vocab"])
+def test_train_task_that_does_not_fit_the_model_exit2_before_writing(tmp_path, capsys, task,
+                                                                     message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SMALL_CONFIG.replace("kind = copy\nseq_len = 10", task))
+    out = tmp_path / "o"
+    assert main(["train", str(bad), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # eval
 # --------------------------------------------------------------------------
@@ -249,6 +263,16 @@ def test_eval_forwards_no_more_than_one_pass_per_metric(random_ckpt, monkeypatch
                                          ",".join(picked), "--noise-levels",
                                          ",".join(map(str, levels)))
                     assert got == want <= before, (task, picked, levels)
+
+
+def test_eval_rejects_decreasing_noise_levels_before_scoring(random_ckpt, monkeypatch, capsys):
+    calls = []
+    real = evalsuite.forward_batch
+    monkeypatch.setattr(evalsuite, "forward_batch", lambda *a, **k: calls.append(1) or real(*a, **k))
+    assert main(["eval", str(random_ckpt), *EVAL_TASKS["kv_recall"], "--samples", "256",
+                 "--metrics", "noise", "--noise-levels", "30,20,10"]) == 2
+    assert "strictly increasing" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_eval_deterministic(trained, tmp_path):

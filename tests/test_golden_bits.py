@@ -4,8 +4,9 @@ Initial parameters, a gen-data artifact and a training run's batch stream
 depend only on numpy's Philox streams, and a run's config.txt only on its
 config, so their digests are always asserted. Logits, checkpoints, metrics and eval.csv also depend on
 the BLAS kernels and numpy's SIMD loops, so they are pinned per fingerprint
-(numpy, BLAS, CPU features, dtype); each gate mode's logits have their own
-digest, so a diff of the json shows which modes moved. On a fingerprint
+(numpy, BLAS, CPU features, dtype, and the kernel set OpenBLAS picked at
+run time, which OPENBLAS_CORETYPE can change on one CPU); each gate mode's
+logits have their own digest, so a diff of the json shows which modes moved. On a fingerprint
 with no pinned digests the test computes everything twice, in two fresh
 processes, asserts the two agree and warns that the golden comparison did
 not apply.
@@ -18,6 +19,8 @@ printing each key whose digest changed:
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -80,6 +83,18 @@ val_fraction = 0.1
 """
 
 
+def blas_kernels() -> str:
+    """The kernel set numpy's bundled OpenBLAS picked at run time, such as
+    SkylakeX or Haswell; unknown without that library or its symbol."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for lib in glob.glob(libs):
+        corename = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = (), ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
 def fingerprint() -> str:
     blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
     try:
@@ -88,7 +103,8 @@ def fingerprint() -> str:
         features = {}
     cpu = hashlib.sha256(",".join(sorted(k for k, on in features.items() if on)).encode())
     return (f"numpy {np.__version__}; {blas.get('name')} {blas.get('version')}; "
-            f"{platform.machine()} cpu {cpu.hexdigest()[:12]}; float32")
+            f"{platform.machine()} cpu {cpu.hexdigest()[:12]}; float32; "
+            f"kernels {blas_kernels()}")
 
 
 def _sha(data: bytes) -> str:
@@ -162,8 +178,9 @@ def _digests_in_fresh_process(work: Path) -> dict[str, str]:
 
 
 def test_golden_bits(tmp_path):
-    # the pinned eval.csv covers a forward run in blocks
-    assert len(model._block_bounds(README_MODEL, EVAL_SAMPLES, 40, 4)) > 2
+    # the pinned eval.csv covers a forward run in blocks: a chunk's widest
+    # trunk activation, [64*40 x d_ff] in float32, exceeds the budget
+    assert EVAL_SAMPLES * 40 * README_MODEL.d_ff * 4 > model.BLOCK_BUDGET
     golden = json.loads(GOLDEN.read_text())
     pinned = golden["by_fingerprint"].get(fingerprint())
     if pinned is None:

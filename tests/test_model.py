@@ -535,7 +535,7 @@ def test_recording_forward_is_bitwise_whatever_its_gelu_tiles(monkeypatch, dtype
             graph = nc.GradGraph()
             logits = forward_batch(p, tokens, graph=graph, positions=positions)
             total, _, _ = loss(logits, np.zeros(logits.rows, dtype=np.int64),
-                               np.ones(logits.rows, dtype=bool), p.synaptic(), 1e-3, graph)
+                               np.ones(logits.rows, dtype=bool), p, 1e-3, graph)
             names, tensors = zip(*p.named_tensors())
             results.append([logits.data] + nc.backward(graph, total, tensors))
             rows = 8 * 34 + (8 * 34 if positions is None else 8 * 16)  # the two layers' GELUs
@@ -583,6 +583,33 @@ def test_blocked_forward_faults_like_the_checked_one_pass(monkeypatch, dtype):
                 assert got == checked, (name, poison, positions)
                 raised[checked.split(" ")[0] if isinstance(checked, str) else "finite"] += 1
     assert len(raised) >= 4, raised
+
+
+@pytest.mark.parametrize("poison", ["nan", "fill"])
+def test_a_blocked_forward_is_one_deferred_run(monkeypatch, poison):
+    # six sequences in three tails of two, each tail's trunk one block; a
+    # token only the last sequence uses is poisoned, so the deferred run
+    # stops in the last tail's trunk at attention's key check, which cannot
+    # wait, and the whole call replays checked, raising as one checked pass
+    monkeypatch.setattr(model, "BLOCK_BUDGET", 2 * 4 * 8 * max(TINY.d_ff, TINY.n_heads * 8))
+    sizes, tails = _block_sizes(monkeypatch)
+    runs = []
+    real = nc.run_deferred
+    monkeypatch.setattr(nc, "run_deferred", lambda *args: runs.append(args[0]) or real(*args))
+    bad = TINY.vocab_size - 1
+    tokens = nc.Rng(54).integers(0, bad, size=(6, 8))
+    tokens[5, 3] = bad
+    params = tiny_params(seed=30)
+    forward_batch(params, tokens)
+    assert runs == [model._blocked_body] and sizes == [2, 2, 2] and tails == [16, 16, 16]
+    params.tok_emb.data[bad] = np.nan if poison == "nan" else 3e38
+    checked = _outcome(lambda: _forward_body(params, tokens, params.config.gate_mode, None, False,
+                                             None)[0])
+    assert checked.endswith("produced a non-finite value")
+    runs.clear()
+    tails.clear()
+    assert _outcome(lambda: forward_batch(params, tokens)) == checked
+    assert runs == [model._blocked_body] and tails == [16] * 4  # two tails, twice
 
 
 # --------------------------------------------------------------------------
@@ -739,7 +766,7 @@ def _positions_case(n_seqs, positions):
 
     def limited(graph):
         logits = forward_batch(params, tokens, graph=graph, positions=positions)
-        return loss(logits, targets.reshape(-1), scored, params.synaptic(), 1e-3, graph=graph)[0]
+        return loss(logits, targets.reshape(-1), scored, params, 1e-3, graph=graph)[0]
 
     def masked(graph):
         full_targets = np.zeros(tokens.shape, dtype=np.int64)
@@ -747,7 +774,7 @@ def _positions_case(n_seqs, positions):
         mask = np.zeros(tokens.shape, dtype=bool)
         mask[:, positions] = True
         logits = forward_batch(params, tokens, graph=graph)
-        return loss(logits, full_targets.reshape(-1), mask.reshape(-1), params.synaptic(), 1e-3,
+        return loss(logits, full_targets.reshape(-1), mask.reshape(-1), params, 1e-3,
                     graph=graph)[0]
 
     return params, limited, masked

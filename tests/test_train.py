@@ -65,15 +65,17 @@ def test_loss_lambda_zero_is_ce_exactly():
     logits = small_logits(params, train.rows(slice(0, 4)))
     targets = train.targets[:4].reshape(-1)
     mask = train.loss_mask[:4].reshape(-1)
-    total, ce, reg = loss(logits, targets, mask, params.synaptic(), 0.0)
+    total, ce, reg = loss(logits, targets, mask, params, 0.0)
     assert total is ce
     assert reg.item() == 0.0
 
 
 def test_loss_identity_gates_reg_value():
     logits = nc.zeros(2, 4)
-    synaptic = [nc.eye(2), nc.eye(2)]
-    total, ce, reg = loss(logits, [0, 1], [True, True], synaptic, 0.1)
+    params = init_params(ModelConfig(4, 2, 1, 2, 2, 2), nc.Rng(0))
+    for w_s in params.synaptic():
+        w_s.data[:] = np.eye(2)
+    total, ce, reg = loss(logits, [0, 1], [True, True], params, 0.1)
     np.testing.assert_allclose(reg.item(), 0.4, atol=1e-7)
     np.testing.assert_allclose(total.item(), ce.item() + 0.4, atol=1e-6)
 
@@ -85,26 +87,29 @@ def test_loss_lambda_shift_matches_frobenius_sum():
     logits = small_logits(params, batch)
     targets = batch.targets.reshape(-1)
     mask = batch.loss_mask.reshape(-1)
-    t1, _, _ = loss(logits, targets, mask, params.synaptic(), 1e-3)
-    t0, _, _ = loss(logits, targets, mask, params.synaptic(), 0.0)
+    t1, _, _ = loss(logits, targets, mask, params, 1e-3)
+    t0, _, _ = loss(logits, targets, mask, params, 0.0)
     fro = sum(float((w.data ** 2).sum()) for w in params.synaptic())
     np.testing.assert_allclose(t1.item() - t0.item(), 1e-3 * fro, atol=1e-6)
 
 
 def test_loss_frozen_reg_keeps_value_drops_gradient():
+    # the loss reads the gate mode from params: a gate that does not run
+    # reports the learned gate's reg value, and its w_s gets no gradient
     params = init_params(CFG, nc.Rng(2))
     train, _ = small_data()
     batch = train.rows(slice(0, 2))
-    g = nc.GradGraph()
-    logits = forward_batch(params.with_gate_mode(GateMode.DISABLED), batch.tokens, graph=g)
-    total, ce, reg = loss(
-        logits, batch.targets.reshape(-1), batch.loss_mask.reshape(-1),
-        params.synaptic(), 0.5, graph=g, synaptic_frozen=True,
-    )
-    assert reg.item() > 0
-    np.testing.assert_allclose(total.item(), ce.item() + reg.item(), rtol=1e-6)
-    for w_s, grad in zip(params.synaptic(), nc.backward(g, total, params.synaptic())):
-        np.testing.assert_array_equal(grad, np.zeros_like(w_s.data))
+    targets, mask = batch.targets.reshape(-1), batch.loss_mask.reshape(-1)
+    learned_reg = loss(forward_batch(params, batch.tokens), targets, mask, params, 0.5)[2]
+    for mode in (GateMode.FORCED_ONES, GateMode.DISABLED):
+        off = params.with_gate_mode(mode)
+        g = nc.GradGraph()
+        logits = forward_batch(off, batch.tokens, graph=g)
+        total, ce, reg = loss(logits, targets, mask, off, 0.5, graph=g)
+        assert reg.item() > 0 and reg.item() == learned_reg.item()
+        np.testing.assert_allclose(total.item(), ce.item() + reg.item(), rtol=1e-6)
+        for w_s, grad in zip(off.synaptic(), nc.backward(g, total, off.synaptic())):
+            np.testing.assert_array_equal(grad, np.zeros_like(w_s.data))
 
 
 # --------------------------------------------------------------------------
@@ -275,8 +280,7 @@ def _full_row_step(params, batch, reg_weight, graph):
     it ran at the scored rows: (logits, total)."""
     logits = forward_batch(params, batch.tokens, graph=graph)
     total, _, _ = loss(logits, batch.targets.reshape(-1), batch.loss_mask.reshape(-1),
-                       params.synaptic(), reg_weight, graph=graph,
-                       synaptic_frozen=params.config.gate_mode != GateMode.LEARNED)
+                       params, reg_weight, graph=graph)
     return logits, total
 
 
