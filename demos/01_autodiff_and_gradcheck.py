@@ -22,6 +22,10 @@ print(f"forward: loss = {loss.item():.6f} from {graph.n_ops} recorded ops")
 grads = nc.backward(graph, loss, [x, w, y])
 print(f"backward returned {len(grads)} gradients, one per requested tensor")
 print("gradient of x, first row:", np.round(grads[0][0], 4))
+try:  # the sweep drops each vjp once it has run, so a graph is swept once
+    nc.backward(graph, loss, [x])
+except ValueError as err:
+    print("a second sweep:", err)
 
 # the same function as a closure, re-run per perturbed element
 def fn(inputs, g):

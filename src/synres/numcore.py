@@ -10,7 +10,8 @@ their order, so its bits are the formula's, which the tests keep.
 Under run_deferred a whole forward enters errstate once and checks only its
 result, replaying bitwise with every op checked to name the op that failed.
 backward(graph, loss, wrt) returns the gradients of wrt, its sweep also under
-one errstate; tensors hold none.
+one errstate; tensors hold none. The tape keeps no tensor, so an activation
+lives only while model code or a vjp not yet swept holds it.
 float32 is the training precision; float64 is used for gradient verification.
 """
 
@@ -18,7 +19,9 @@ from __future__ import annotations
 
 import contextvars
 import functools
+import itertools
 import math
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,9 +38,11 @@ class NumericError(ArithmeticError):
 
 
 class Tensor2:
-    """A rows x cols matrix of float32 or float64."""
+    """A rows x cols matrix of float32 or float64. _key, its name on a tape,
+    is set when a graph first records it or backward is handed it; no copy
+    carries it."""
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "_key")
 
     def __init__(self, data: np.ndarray):
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
@@ -45,6 +50,10 @@ class Tensor2:
         if data.dtype not in (np.float32, np.float64):
             raise DimensionError(f"Tensor2 holds float32/float64, got {data.dtype}")
         self.data = np.ascontiguousarray(data)
+        self._key = None
+
+    def __reduce__(self):  # copy, deepcopy and pickle make a tensor with no key
+        return Tensor2, (self.data,)
 
     @property
     def rows(self) -> int:
@@ -159,22 +168,42 @@ def randn(rows: int, cols: int, sigma: float, rng: Rng, dtype=np.float32) -> Ten
 _Vjp = Callable[[np.ndarray], tuple]
 
 
-class GradGraph:
-    """Ordered record of executed ops, replayable in reverse for the chain rule.
+# tape keys: unique for the life of the process, where an id() is reused
+# by a new object once the old one dies
+_keys = itertools.count(1)
+_key_lock = threading.Lock()  # two graphs may key one shared parameter at once
 
-    Execution order is a topological order by construction. The graph holds
-    no gradients; backward returns them. Single-writer: one graph must not be
-    mutated from two threads.
+
+def _key(t: Tensor2) -> int:
+    k = t._key
+    if k is None:
+        with _key_lock:
+            k = t._key
+            if k is None:
+                k = t._key = next(_keys)
+    return k
+
+
+class GradGraph:
+    """Ordered record of executed ops, swept once in reverse for the chain rule.
+
+    Execution order is a topological order by construction. A record keeps
+    its output's and inputs' keys, not the tensors, and the op's vjp, which
+    backward drops once it has run. The graph holds no gradients; backward
+    returns them. Single-writer: one graph must not be mutated from two
+    threads.
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor2, tuple[Tensor2, ...], _Vjp]] = []
+        # [output key, input keys, vjp or, once the sweep has passed it, None]
+        self._records: list[list] = []
+        self._swept = False
 
     def record(self, out: Tensor2, inputs: tuple[Tensor2, ...], vjp: _Vjp) -> None:
-        self._records.append((out, inputs, vjp))
+        self._records.append([_key(out), [_key(t) for t in inputs], vjp])
 
     @property
-    def n_ops(self) -> int:
+    def n_ops(self) -> int:  # every op recorded, swept or not
         return len(self._records)
 
 
@@ -185,33 +214,41 @@ def backward(graph: GradGraph, loss: Tensor2, wrt: Sequence[Tensor2]) -> list[np
     tensor with no path to the loss gets an exact-zero gradient. A tensor
     listed twice gets the same array twice. The sweep runs under one
     errstate, so an overflowing gradient is returned as inf without a numpy
-    warning; the caller checks it (sgd_step names the tensor).
+    warning; the caller checks it (sgd_step names the tensor). Each record's
+    vjp is dropped as the sweep passes it, so a graph is swept once: a
+    second backward on it raises ValueError.
     """
     if loss.shape != (1, 1):
         raise DimensionError(f"backward root must be a 1x1 scalar, got {loss.shape}")
-    wanted = {id(t) for t in wrt}
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1), dtype=loss.dtype)}
+    if graph._swept:
+        raise ValueError("backward: this graph was already swept, and a graph is swept once")
+    graph._swept = True
+    keys = [_key(t) for t in wrt]
+    wanted = set(keys)
+    grads: dict[int, np.ndarray] = {_key(loss): np.ones((1, 1), dtype=loss.dtype)}
     with np.errstate(all="ignore"):
-        for out, inputs, vjp in reversed(graph._records):
+        for rec in reversed(graph._records):
+            out, inputs, vjp = rec
+            rec[2] = None  # what only this vjp held dies once it has run
             # a gradient is dropped once its vjp has used it, unless asked for
-            g = grads.pop(id(out), None)
+            g = grads.pop(out, None)
             if g is None:
                 continue
-            if id(out) in wanted:
+            if out in wanted:
                 # kept apart: a vjp may hand g on as an input's gradient, and
                 # that one accumulates in place below
-                grads[id(out)] = g.copy()
+                grads[out] = g.copy()
             # in-place accumulation below relies on vjps never returning one
             # array object for two input slots
-            for t, ig in zip(inputs, vjp(g)):
+            for k, ig in zip(inputs, vjp(g)):
                 if ig is None:
                     continue
-                acc = grads.get(id(t))
+                acc = grads.get(k)
                 if acc is None:
-                    grads[id(t)] = ig
+                    grads[k] = ig
                 else:
                     np.add(acc, ig, out=acc)
-    return [grads[id(t)] if id(t) in grads else np.zeros_like(t.data) for t in wrt]
+    return [grads[k] if k in grads else np.zeros_like(t.data) for k, t in zip(keys, wrt)]
 
 
 def _result(op: str | None, out_data: np.ndarray, graph: GradGraph | None, inputs, vjp) -> Tensor2:
@@ -222,6 +259,7 @@ def _result(op: str | None, out_data: np.ndarray, graph: GradGraph | None, input
         _check_finite(out_data, op)
     out = Tensor2.__new__(Tensor2)
     out.data = out_data
+    out._key = None
     if graph is not None:
         graph.record(out, inputs, vjp)
     return out
@@ -485,8 +523,10 @@ def gather_rows(table: Tensor2, indices: np.ndarray, graph: GradGraph | None = N
     if idx.min() < 0 or idx.max() >= table.rows:
         raise ValueError(f"gather_rows: index out of range [0, {table.rows})")
 
+    shape, dtype = table.shape, table.dtype  # the vjp keeps no table alive
+
     def vjp(g):
-        dt = np.zeros_like(table.data)
+        dt = np.zeros(shape, dtype=dtype)
         if (idx[1:] > idx[:-1]).all():
             # each table row gets one gradient row: 0.0 + g, as np.add.at
             # into zeros adds it, is g + 0.0, -0.0 included
@@ -494,7 +534,7 @@ def gather_rows(table: Tensor2, indices: np.ndarray, graph: GradGraph | None = N
             return (dt,)
         # one flat scatter of elements, in the row scatter's order for each
         # table element, so bitwise np.add.at(dt, idx, g) and several times faster
-        cols = table.cols
+        cols = shape[1]
         np.add.at(dt.reshape(-1), (idx[:, None] * cols + np.arange(cols)).reshape(-1), g.reshape(-1))
         return (dt,)
 
@@ -575,7 +615,7 @@ def cross_entropy_logits(
     def vjp(g):
         dl = e / z
         dl[np.arange(n), safe_tgt] -= 1.0
-        dl *= (msk / count).astype(logits.dtype)[:, None]
+        dl *= (msk / count).astype(e.dtype)[:, None]  # e has the logits' dtype; no logits kept
         return (dl * float(g[0, 0]),)
 
     return _result("cross_entropy_logits", val, graph, (logits,), vjp)

@@ -183,22 +183,29 @@ def train_epoch(
     stats = EpochStats()
     for index, batch in enumerate(batch_stream):
         try:
-            graph = GradGraph()
-            positions, targets, mask = batch.scored()
-            logits = forward_batch(params, batch.tokens, graph=graph, positions=positions)
-            total, ce, reg = loss(logits, targets, mask, params, config.reg_weight, graph=graph)
-            grads = dict(zip(names, nc.backward(graph, total, tensors)))
-            sgd_step(params, grads, lr, config.grad_clip)
+            values = _step(params, names, tensors, batch, config, lr)
         except NumericError as err:
             raise NumericError(f"batch {index}: {err}") from err
         if on_step is not None:
-            on_step(index, total.item(), ce.item(), reg.item())
-        totals += (total.item(), ce.item(), reg.item())
+            on_step(index, *values)
+        totals += values
         stats.n_batches = index + 1
     if stats.n_batches == 0:
         raise ValueError("empty batch stream")
     stats.mean_loss, stats.mean_ce, stats.mean_reg = (totals / stats.n_batches).tolist()
     return stats
+
+
+def _step(params, names, tensors, batch, config, lr) -> tuple[float, float, float]:
+    """train_epoch's step on one batch: (total, ce, reg). Its graph, loss
+    tensors and gradients die on return, before the next batch's forward."""
+    graph = GradGraph()
+    positions, targets, mask = batch.scored()
+    total, ce, reg = loss(forward_batch(params, batch.tokens, graph=graph, positions=positions),
+                          targets, mask, params, config.reg_weight, graph=graph)
+    grads = dict(zip(names, nc.backward(graph, total, tensors)))
+    sgd_step(params, grads, lr, config.grad_clip)
+    return total.item(), ce.item(), reg.item()
 
 
 def lr_decay_check(val_ppl: float, lr: float, config: TrainConfig) -> tuple[float, bool]:

@@ -72,6 +72,24 @@ def test_traced_train_epoch_charges_every_vjp_to_its_op():
         assert calls[f"numcore.{op}.bwd"] == calls[f"numcore.{op}.fwd"] > 0, op
 
 
+def test_traced_train_epoch_counts_every_record_its_steps_made(monkeypatch):
+    # the tracer reads graph.n_ops after the sweep for tape_ops, so the
+    # records must outlast the vjps backward drops
+    params = init_params(CFG, Rng(9))
+    spec = datagen.TaskSpec(kind="copy", seq_len=6, samples=8, seed=10)
+    data, _ = datagen.build_task_data(spec, datagen.VocabLayout.synthetic(CFG.vocab_size))
+    made, record = [], numcore.GradGraph.record
+    monkeypatch.setattr(numcore.GradGraph, "record",
+                        lambda graph, *args: made.append(1) or record(graph, *args))
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        train.train_epoch(params, train.batches(data, 4), TrainConfig(epochs=1, batch_size=4), 0.1)
+    finally:
+        spans.uninstall()
+    assert len(made) > 0 and spans.counters["tape_ops"] == len(made)
+
+
 def test_traced_forward_runs_each_op_once():
     # a finite forward checks only its logits and never replays, so the
     # tracer sees each op exactly as often as a graph records it

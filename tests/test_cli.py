@@ -121,6 +121,17 @@ def test_train_task_that_does_not_fit_the_model_exit2_before_writing(tmp_path, c
     assert not out.exists()
 
 
+def test_train_on_a_missing_corpus_exit4_before_writing(tmp_path, capsys):
+    missing = tmp_path / "missing_corpus.txt"
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SMALL_CONFIG.replace("vocab_size = 32", "vocab_size = 261").replace(
+        "kind = copy\nseq_len = 10", f"kind = corpus\nseq_len = 10\ncorpus_path = {missing}"))
+    out = tmp_path / "o"
+    assert main(["train", str(bad), "--out", str(out)]) == 4
+    assert str(missing) in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # eval
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import weakref
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -711,13 +712,30 @@ def test_positions_limited_logits_across_head_widths(head_width, dtype):
                     assert np.abs(got - want).max() <= tol * np.abs(full).max(), case
 
 
-def test_positions_limited_forward_runs_the_last_layer_on_the_selected_rows():
+def _recorded_rows(monkeypatch, params, tokens, positions=None):
+    """forward_batch on a fresh graph: ([(op name, output rows)] in record
+    order, the graph). Rows are read as each op records, as the tape keeps
+    no tensor."""
+    ops, record = [], nc.GradGraph.record
+
+    def spy(graph, out, inputs, vjp):
+        ops.append((vjp.__qualname__.split(".")[0], out.rows))
+        record(graph, out, inputs, vjp)
+
+    graph = nc.GradGraph()
+    with monkeypatch.context() as patch:
+        patch.setattr(nc.GradGraph, "record", spy)
+        forward_batch(params, tokens, graph=graph, positions=positions)
+    assert len(ops) == graph.n_ops
+    return ops, graph
+
+
+def test_positions_limited_forward_runs_the_last_layer_on_the_selected_rows(monkeypatch):
     params = tiny_params(seed=61)
     tokens = nc.Rng(62).integers(0, TINY.vocab_size, size=(4, 8))
-    full, limited = nc.GradGraph(), nc.GradGraph()
+    full = nc.GradGraph()
     forward_batch(params, tokens, graph=full)
-    forward_batch(params, tokens, graph=limited, positions=[2, 5, 7])
-    ops = [(vjp.__qualname__.split(".")[0], out.rows) for out, _, vjp in limited._records]
+    ops, limited = _recorded_rows(monkeypatch, params, tokens, positions=[2, 5, 7])
     # the last layer gathers 4 x 3 rows of its normed input for the queries,
     # projects keys and values at all 4 x 8 rows, attends from the 12 query
     # rows and gathers the same rows of the residual stream; everything
@@ -733,15 +751,37 @@ def test_positions_limited_forward_runs_the_last_layer_on_the_selected_rows():
     assert [rows for _, rows in ops[first:]] == [12, 12, 32, 32] + [12] * (len(ops) - first - 4)
     assert limited.n_ops == full.n_ops + 2
     # one position runs on its own row alone, to the logits
-    one = nc.GradGraph()
-    forward_batch(params, tokens, graph=one, positions=[5])
-    tail = [(vjp.__qualname__.split(".")[0], out.rows) for out, _, vjp in one._records][-3:]
-    assert tail == [("add", 4), ("layer_norm", 4), ("matmul", 4)]
+    tail, one = _recorded_rows(monkeypatch, params, tokens, positions=[5])
+    assert tail[-3:] == [("add", 4), ("layer_norm", 4), ("matmul", 4)]
     assert one.n_ops == full.n_ops + 2
     # positions covering every position run the full forward
     every = nc.GradGraph()
     forward_batch(params, tokens, graph=every, positions=np.arange(8))
     assert every.n_ops == full.n_ops
+
+
+def test_a_training_graph_keeps_only_what_its_vjps_read(monkeypatch):
+    # the tape keeps no tensor: the FFN's pre-GELU input, which no vjp reads
+    # (GELU keeps its derivative), is freed while the graph lives; the GELU
+    # output, which the second FFN matmul's vjp reads, lives until backward
+    # has run that vjp
+    params = tiny_params(seed=63)
+    tokens = nc.Rng(64).integers(0, TINY.vocab_size, size=(3, 8))
+    refs, gelu = [], nc.gelu
+
+    def spy(x, *args, **kwargs):
+        out = gelu(x, *args, **kwargs)
+        refs.append((weakref.ref(x.data), weakref.ref(out.data)))
+        return out
+
+    monkeypatch.setattr(nc, "gelu", spy)
+    graph = nc.GradGraph()
+    total, _, _ = loss(forward_batch(params, tokens, graph=graph, positions=[3, 7]),
+                       tokens[:, [3, 7]].reshape(-1), np.ones(6, dtype=bool), params, 1e-4, graph)
+    assert len(refs) == TINY.n_layers
+    assert all(pre() is None and post() is not None for pre, post in refs)
+    nc.backward(graph, total, [t for _, t in params.named_tensors()])
+    assert all(post() is None for _, post in refs)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Loss decomposition, SGD semantics, lr decay rule, and full-run contracts."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -284,9 +285,9 @@ def _full_row_step(params, batch, reg_weight, graph):
     return logits, total
 
 
-def _train_epoch_step(monkeypatch, params, batch, reg_weight, graph=None):
-    """train_epoch's one step on batch at lr 0, recorded on graph when given:
-    the logits and loss it built and the gradients it handed to sgd_step."""
+def _train_epoch_step(monkeypatch, params, batch, reg_weight):
+    """train_epoch's one step on batch at lr 0: the logits and loss it built
+    and the gradients it handed to sgd_step."""
     seen = {}
 
     def spy_loss(logits, *args, **kwargs):
@@ -300,8 +301,6 @@ def _train_epoch_step(monkeypatch, params, batch, reg_weight, graph=None):
 
     monkeypatch.setattr(train_module, "loss", spy_loss)
     monkeypatch.setattr(train_module, "sgd_step", spy_sgd)
-    if graph is not None:
-        monkeypatch.setattr(train_module, "GradGraph", lambda: graph)
     tc = TrainConfig(epochs=1, batch_size=batch.n_rows, reg_weight=reg_weight)
     train_epoch(params, [batch], tc, lr=0.0)
     monkeypatch.undo()
@@ -342,6 +341,26 @@ def test_train_step_on_scored_rows_against_the_full_row_step(monkeypatch, task, 
                 assert np.abs(got - want[name]).max() <= ROW_SUM_TOLERANCE[dtype] * scale, (mode, name)
 
 
+def test_a_readme_copy_step_peaks_under_12_mb():
+    # a step holds the activations its vjps read and frees each as the
+    # backward sweep passes it, and the last step's graph, loss and
+    # gradients are gone before the next forward (a tape that kept every
+    # op's output and inputs peaked at 17.6 MB over these two steps)
+    batch = gen_copy(TaskSpec(kind="copy", seq_len=34, samples=32, seed=1),
+                     VocabLayout.synthetic(64), nc.Rng(1))
+    params = init_params(README_MODEL, nc.Rng(4))
+    tc = TrainConfig(epochs=1, batch_size=32)
+    train_epoch(params, [batch], tc, lr=0.01)  # warm: caches and first-call allocations
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        train_epoch(params, [batch, batch], tc, lr=0.01)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, f"a README copy step peaked {peak / 1e6:.2f} MB above its start"
+
+
 GRAD_CHECK_MODEL = ModelConfig(vocab_size=7, d_model=4, n_heads=2, n_layers=2, d_ff=8, max_seq_len=6)
 
 
@@ -365,18 +384,34 @@ def test_train_epoch_grad_check_float64(monkeypatch, mode, scored):
     batch = Batch(tokens=tokens, targets=targets, loss_mask=mask)
     assert batch.scored()[0].tolist() == sorted({c for cs in scored for c in cs})
 
-    def fn(inputs, graph):
-        if graph is None:
-            return _full_row_step(params, batch, 1e-3, None)[1]
-        step = _train_epoch_step(monkeypatch, params, batch, 1e-3, graph)
-        assert step["logits"].rows == 2 * batch.scored()[0].size
-        return step["total"]
-
+    step = _train_epoch_step(monkeypatch, params, batch, 1e-3)
+    assert step["logits"].rows == 2 * batch.scored()[0].size
     # a frozen gate's regularizer is a constant of the graph, not of w_s
-    inputs = [t for name, t in params.named_tensors()
-              if mode == GateMode.LEARNED or not name.endswith("w_s")]
-    err = nc.grad_check(fn, inputs, eps=1e-5)
+    err = max(
+        _central_difference_error(lambda: _full_row_step(params, batch, 1e-3, None)[1].item(),
+                                  t, step["grads"][name], eps=1e-5)
+        for name, t in params.named_tensors()
+        if mode == GateMode.LEARNED or not name.endswith("w_s")
+    )
     assert err < 1e-5, f"train_epoch 64-bit rel error {err}"
+
+
+def _central_difference_error(f, t, analytic, eps):
+    """nc.grad_check's error measure for one tensor and its given gradient:
+    the max relative error against central differences of f() as each
+    element of t moves +-eps in t's dtype."""
+    flat, worst = t.data.reshape(-1), 0.0
+    for i, ana in enumerate(analytic.reshape(-1).tolist()):
+        orig = flat[i]
+        hi, lo = t.dtype.type(orig + eps), t.dtype.type(orig - eps)
+        flat[i] = hi
+        fp = f()
+        flat[i] = lo
+        fm = f()
+        flat[i] = orig
+        numeric = (fp - fm) / (float(hi) - float(lo))
+        worst = max(worst, abs(ana - numeric) / max(abs(ana), abs(numeric), 1e-8))
+    return worst
 
 
 # --------------------------------------------------------------------------
