@@ -374,8 +374,11 @@ def batches(
 
 
 def split_train_val(dataset: Batch, val_fraction: float) -> tuple[Batch, Batch]:
-    """Deterministic disjoint split: the tail val_fraction of rows validates."""
+    """Deterministic disjoint split: the tail val_fraction of rows validates.
+    Each side keeps at least one row, so a dataset needs two."""
     n = dataset.n_rows
+    if n < 2:
+        raise ValueError(f"cannot split {n} row(s) into training and validation; need >= 2")
     n_val = min(n - 1, max(1, int(round(n * val_fraction))))
     return dataset.rows(slice(0, n - n_val)), dataset.rows(slice(n - n_val, n))
 

@@ -65,8 +65,8 @@ class ModelConfig:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
             )
-        if self.sigma_init < 0:
-            raise ValueError(f"sigma_init must be >= 0, got {self.sigma_init}")
+        if not (np.isfinite(self.sigma_init) and self.sigma_init >= 0):
+            raise ValueError(f"sigma_init must be finite and >= 0, got {self.sigma_init}")
         object.__setattr__(self, "gate_mode", GateMode(self.gate_mode))
 
 
@@ -214,11 +214,12 @@ class ActivationTrace:
     layers: list[LayerTrace] = field(default_factory=list)
 
     def validate(self, atol: float = 1e-6) -> None:
-        """Check r is a proper gate in (0,1) and o is the gated recomputation."""
+        """Check r is a gate in [0, 1] (a saturated sigmoid rounds to its
+        bound; forced_ones is all ones) and o is the gated recomputation."""
         for i, lt in enumerate(self.layers):
             if lt.r is not None:
-                if not ((lt.r.data > 0.0) & (lt.r.data < 1.0)).all():
-                    raise AssertionError(f"layer {i}: relevance out of (0, 1)")
+                if not ((lt.r.data >= 0.0) & (lt.r.data <= 1.0)).all():
+                    raise AssertionError(f"layer {i}: relevance out of [0, 1]")
                 recomputed = lt.a.data * lt.r.data
             else:
                 recomputed = lt.a.data

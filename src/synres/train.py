@@ -40,12 +40,18 @@ class TrainConfig:
     min_lr: float = 1e-6
 
     def __post_init__(self):
+        for name in ("lr", "lr_decay", "ppl_threshold", "reg_weight", "grad_clip", "min_lr"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.lr_decay < 1.0:
             raise ValueError(f"lr_decay must be in (0, 1), got {self.lr_decay}")
+        if self.min_lr < 0:
+            raise ValueError(f"min_lr must be >= 0, got {self.min_lr}")
         if self.lr <= self.min_lr:
             raise ValueError(f"lr {self.lr} must start above min_lr {self.min_lr}")
         if self.reg_weight < 0:
@@ -183,9 +189,15 @@ def train_epoch(
     stats = EpochStats()
     for index, batch in enumerate(batch_stream):
         try:
-            values = _step(params, names, tensors, batch, config, lr)
+            graph = GradGraph()
+            positions, targets, mask = batch.scored()
+            logits = forward_batch(params, batch.tokens, graph=graph, positions=positions)
+            total, ce, reg = loss(logits, targets, mask, params, config.reg_weight, graph=graph)
+            grads = dict(zip(names, nc.backward(graph, total, tensors)))
+            sgd_step(params, grads, lr, config.grad_clip)
         except NumericError as err:
             raise NumericError(f"batch {index}: {err}") from err
+        values = total.item(), ce.item(), reg.item()
         if on_step is not None:
             on_step(index, *values)
         totals += values
@@ -194,18 +206,6 @@ def train_epoch(
         raise ValueError("empty batch stream")
     stats.mean_loss, stats.mean_ce, stats.mean_reg = (totals / stats.n_batches).tolist()
     return stats
-
-
-def _step(params, names, tensors, batch, config, lr) -> tuple[float, float, float]:
-    """train_epoch's step on one batch: (total, ce, reg). Its graph, loss
-    tensors and gradients die on return, before the next batch's forward."""
-    graph = GradGraph()
-    positions, targets, mask = batch.scored()
-    total, ce, reg = loss(forward_batch(params, batch.tokens, graph=graph, positions=positions),
-                          targets, mask, params, config.reg_weight, graph=graph)
-    grads = dict(zip(names, nc.backward(graph, total, tensors)))
-    sgd_step(params, grads, lr, config.grad_clip)
-    return total.item(), ce.item(), reg.item()
 
 
 def lr_decay_check(val_ppl: float, lr: float, config: TrainConfig) -> tuple[float, bool]:

@@ -132,6 +132,23 @@ def test_train_on_a_missing_corpus_exit4_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit,message", [
+    (("lr = 0.5", "lr = nan"), "lr must be finite"),
+    (("lr = 0.5", "lr = 0.5\ngrad_clip = nan"), "grad_clip must be finite"),
+    (("lr = 0.5", "lr = -0.5\nmin_lr = -1.0"), "min_lr must be >= 0"),
+    (("max_seq_len = 16", "max_seq_len = 16\nsigma_init = nan"), "sigma_init must be finite"),
+    (("samples = 48", "samples = 1"), "cannot split 1 row(s)"),
+], ids=["lr", "grad_clip", "min_lr", "sigma_init", "one_row"])
+def test_train_config_value_rejected_exit2_before_writing(tmp_path, capsys, edit, message):
+    # each once passed the config checks and wrote --out before training or failing
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SMALL_CONFIG.replace(*edit))
+    out = tmp_path / "o"
+    assert main(["train", str(bad), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # eval
 # --------------------------------------------------------------------------

@@ -315,6 +315,14 @@ def test_split_disjoint():
     assert train.n_rows == 90 and val.n_rows == 10
 
 
+def test_split_needs_two_rows():
+    ds = gen_copy(TaskSpec(kind="copy", seq_len=6, samples=2, seed=4), LAYOUT64, Rng(4))
+    train, val = split_train_val(ds, 0.1)
+    assert train.n_rows == 1 and val.n_rows == 1
+    with pytest.raises(ValueError, match=r"cannot split 1 row\(s\)"):
+        split_train_val(ds.rows(slice(0, 1)), 0.1)
+
+
 def test_build_task_data_kv():
     spec = TaskSpec.kv_recall(distances=(8,), samples=50, seed=5)
     lay = VocabLayout.synthetic(48, n_keys=spec.pairs)

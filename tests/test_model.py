@@ -322,6 +322,22 @@ def test_forward_trace_r_in_open_interval():
         np.testing.assert_allclose(lt.o.data, lt.a.data * lt.r.data, atol=1e-6)
 
 
+def test_forced_ones_trace_validates():
+    _, trace = forward(tiny_params(seed=13), [1, 2, 3], mode=GateMode.FORCED_ONES, want_trace=True)
+    assert all((lt.r.data == 1.0).all() for lt in trace.layers)
+    trace.validate()
+
+
+def test_saturated_learned_trace_validates():
+    # the float32 sigmoid rounds to exactly 1.0 from about x = 17 up
+    params = tiny_params(seed=13)
+    for layer in params.layers:
+        layer.w_s.data[:] = 1e5 * np.eye(TINY.d_model, dtype=np.float32)
+    _, trace = forward(params, [1, 2, 3], mode=GateMode.LEARNED, want_trace=True)
+    assert any((lt.r.data == 1.0).any() for lt in trace.layers)
+    trace.validate()
+
+
 def test_forward_batch_matches_single():
     params = tiny_params(seed=14)
     toks = np.array([[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 0, 1]])

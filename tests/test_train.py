@@ -1,5 +1,10 @@
 """Loss decomposition, SGD semantics, lr decay rule, and full-run contracts."""
 
+import dataclasses
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -46,6 +51,30 @@ def test_config_validation():
         TrainConfig(epochs=1, batch_size=4, lr_decay=1.0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=1, batch_size=4, lr=1e-7, min_lr=1e-6)
+
+
+def _float_fields(cls):
+    return [f.name for f in dataclasses.fields(cls) if "float" in str(f.type)]
+
+
+CONFIG_BASES = {TrainConfig: dict(epochs=1, batch_size=4), ModelConfig: dict(CFG.__dict__)}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cls,name", [(c, n) for c in CONFIG_BASES for n in _float_fields(c)],
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_config_float_fields_must_be_finite(cls, name, bad):
+    # a NaN passes every comparison-based range check (x > nan is False), so
+    # grad_clip = nan or ppl_threshold = nan once quietly disabled clipping or decay
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        cls(**{**CONFIG_BASES[cls], name: bad})
+
+
+@pytest.mark.parametrize("lr,min_lr", [(-0.5, -1.0), (3e-4, -1e-9)])
+def test_config_min_lr_must_be_non_negative(lr, min_lr):
+    # lr -0.5 over min_lr -1.0 once ran an epoch of gradient ascent
+    with pytest.raises(ValueError, match="min_lr must be >= 0"):
+        TrainConfig(epochs=1, batch_size=4, lr=lr, min_lr=min_lr)
 
 
 def test_config_resolves_threshold_to_vocab():
@@ -343,9 +372,9 @@ def test_train_step_on_scored_rows_against_the_full_row_step(monkeypatch, task, 
 
 def test_a_readme_copy_step_peaks_under_12_mb():
     # a step holds the activations its vjps read and frees each as the
-    # backward sweep passes it, and the last step's graph, loss and
-    # gradients are gone before the next forward (a tape that kept every
-    # op's output and inputs peaked at 17.6 MB over these two steps)
+    # backward sweep passes it; the last step's graph keys, logits, loss and
+    # gradients live on until the next step rebinds them (a tape that kept
+    # every op's output and inputs peaked at 17.6 MB over these two steps)
     batch = gen_copy(TaskSpec(kind="copy", seq_len=34, samples=32, seed=1),
                      VocabLayout.synthetic(64), nc.Rng(1))
     params = init_params(README_MODEL, nc.Rng(4))
@@ -359,6 +388,36 @@ def test_a_readme_copy_step_peaks_under_12_mb():
     finally:
         tracemalloc.stop()
     assert peak < 12e6, f"a README copy step peaked {peak / 1e6:.2f} MB above its start"
+
+
+@pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts glibc's heap refaults")
+def test_in_process_training_does_not_refault_its_heap_every_step():
+    # no allocator setting: a fresh process, as a library caller runs. Once
+    # every array of a step died before the next forward, glibc trimmed the
+    # heap top and faulted it back each step: 1,156 minor faults per step
+    code = (
+        "import resource\n"
+        "from synres.datagen import TaskSpec, VocabLayout, batches, build_task_data\n"
+        "from synres.model import ModelConfig, init_params\n"
+        "from synres.numcore import Rng\n"
+        "from synres.train import TrainConfig, train_epoch\n"
+        "model = ModelConfig(vocab_size=64, d_model=64, n_heads=4, n_layers=2, d_ff=256,"
+        " max_seq_len=40)\n"
+        "train, _ = build_task_data(TaskSpec(kind='copy', seq_len=34, samples=640, seed=1),"
+        " VocabLayout.synthetic(64))\n"
+        "config = TrainConfig(epochs=1, batch_size=32, lr=0.01, grad_clip=1.0)\n"
+        "params = init_params(model, Rng(4))\n"
+        "train_epoch(params, batches(train, 32, Rng(1)), config, config.lr)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "steps = train_epoch(params, batches(train, 32, Rng(2)), config, config.lr).n_batches\n"
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    per_step = float(proc.stdout)
+    assert per_step < 600, f"{per_step:.0f} minor faults per in-process README copy step"
 
 
 GRAD_CHECK_MODEL = ModelConfig(vocab_size=7, d_model=4, n_heads=2, n_layers=2, d_ff=8, max_seq_len=6)
