@@ -314,8 +314,8 @@ def matmul(
     without its pass over a second array. One tape record covers (a, b) or
     (a, b, bias).
 
-    The reduction order is fixed by the BLAS build, so results are bitwise
-    reproducible run-to-run on one platform at equal precision.
+    The reduction order is fixed by the BLAS build, kernel set and thread
+    count, so with those and the precision fixed results replay bitwise.
     """
     if a.cols != b.rows:
         raise DimensionError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")

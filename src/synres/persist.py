@@ -94,16 +94,6 @@ def _build(cls, section: str, raw: dict[str, str], error, required: bool):
         raise error(f"invalid [{section}] config: {err}") from err
 
 
-def _header_lines(section: str, obj) -> list[str]:
-    return [f"{section}.{name} {_fmt(getattr(obj, name))}" for name in _fields(type(obj))]
-
-
-def _header_section(path, pairs: dict[str, str], cls, section: str):
-    raw = {key[len(section) + 1 :]: text for key, text in pairs.items()
-           if key.startswith(section + ".")}
-    return _build(cls, section, raw, lambda msg: CheckpointError(f"{path}: {msg}"), required=True)
-
-
 def atomic_write(path, chunks):
     """Write the byte chunks to path atomically: into a temp file in path's
     directory, fsynced, then renamed over path. A write that raises or is
@@ -123,32 +113,51 @@ def atomic_write(path, chunks):
         raise
 
 
-def _write_container(path, header_lines: list[str], arrays: list[tuple[str, np.ndarray]]):
-    manifest, offset = [], 0
-    for name, arr in arrays:
-        code = _CODE_OF[arr.dtype]
-        manifest.append(f"tensor {name} {arr.shape[0]} {arr.shape[1]} {code} {offset}")
-        offset += arr.nbytes
-    header = ("\n".join(header_lines + manifest) + "\n\n").encode()
+# kind -> (header sections in order, each with the class it builds; integer
+# scalars; tensor name, or "*" for any name, -> dtype). Only _write_container
+# and _read_container read it.
+_CONTAINERS = {
+    "checkpoint": ({"model": ModelConfig, "train": TrainConfig}, ("seed", "epoch"),
+                   {"*": np.floating}),
+    "dataset": ({"task": TaskSpec, "layout": VocabLayout}, (), {
+        "tokens": np.int64, "targets": np.int64, "loss_mask": np.bool_, "meta": np.int64,
+        "protected": np.bool_}),
+}
+
+
+def _write_container(path, kind: str, header: dict, arrays: list[tuple[str, np.ndarray]]):
+    """Write a container of kind; header maps each section and scalar of the
+    kind's row in _CONTAINERS to its config object or int."""
+    sections, scalars, _ = _CONTAINERS[kind]
+    lines = [f"format {FORMAT_VERSION}", f"kind {kind}"]
+    lines += [f"{section}.{name} {_fmt(getattr(header[section], name))}"
+              for section, cls in sections.items() for name in _fields(cls)]
+    lines += [f"{name} {header[name]}" for name in scalars]
+    offsets = itertools.accumulate((arr.nbytes for _, arr in arrays), initial=0)
+    lines += [f"tensor {name} {arr.shape[0]} {arr.shape[1]} {_CODE_OF[arr.dtype]} {offset}"
+              for (name, arr), offset in zip(arrays, offsets)]
     tensors = (np.ascontiguousarray(arr).tobytes() for _, arr in arrays)
-    atomic_write(path, itertools.chain([header], tensors))
+    atomic_write(path, itertools.chain([("\n".join(lines) + "\n\n").encode()], tensors))
 
 
-def _read_container(path):
-    """(header pairs, name -> array, the bytes read). The manifest must lay
-    its tensors out in order from offset 0, with no gap, overlap or repeated
-    name, and the payload must end where the last one does."""
+def _read_container(path, kind: str):
+    """(header, name -> array, the bytes read) of a container of kind; header
+    maps each section and scalar of its row in _CONTAINERS to its value. The
+    header holds each key of the row once and no other, each tensor has the
+    row's dtype, and the manifest lays them out in order from offset 0, with
+    no gap, overlap or repeated name, up to the payload's end."""
+    sections, scalars, dtypes = _CONTAINERS[kind]
     raw = Path(path).read_bytes()
     sep = raw.find(b"\n\n")
     if sep < 0:
         raise CheckpointError(f"{path}: no blank line terminating the header")
     try:
-        header, payload = raw[:sep].decode(), raw[sep + 2 :]
+        text, payload = raw[:sep].decode(), raw[sep + 2 :]
     except UnicodeDecodeError as err:
         raise CheckpointError(f"{path}: header is not UTF-8 text: {err}") from err
     pairs: dict[str, str] = {}
     manifest: list[tuple[str, int, int, str, int]] = []
-    for line in header.splitlines():
+    for line in text.splitlines():
         key, _, rest = line.partition(" ")
         if key == "tensor":
             try:
@@ -156,22 +165,42 @@ def _read_container(path):
                 manifest.append((name, int(rows), int(cols), code, int(offset)))
             except ValueError as err:
                 raise CheckpointError(f"{path}: malformed manifest line: {line!r}") from err
+        elif key in pairs:
+            raise CheckpointError(f"{path}: header key {key} repeated")
         else:
             pairs[key] = rest
-    if pairs.get("format") != str(FORMAT_VERSION):
-        raise CheckpointError(f"{path}: unsupported container format {pairs.get('format')!r}")
+    for key, want in (("format", str(FORMAT_VERSION)), ("kind", kind)):
+        if (found := pairs.pop(key, None)) != want:
+            raise CheckpointError(f"{path}: container {key} {found!r}, expected {want!r}")
+    header = {
+        section: _build(cls, section, {key.removeprefix(section + "."): pairs.pop(key)
+                                       for key in list(pairs) if key.startswith(section + ".")},
+                        lambda msg: CheckpointError(f"{path}: {msg}"), required=True)
+        for section, cls in sections.items()
+    }
+    try:
+        header.update((name, int(pairs.pop(name))) for name in scalars)
+    except (KeyError, ValueError) as err:
+        raise CheckpointError(f"{path}: bad or missing header {'/'.join(scalars)}: {err}") from err
+    if pairs:
+        raise CheckpointError(f"{path}: header key {min(pairs)} is not part of a {kind}")
     arrays: dict[str, np.ndarray] = {}
     end = 0
     for name, rows, cols, code, offset in manifest:
         if code not in _DTYPE_CODES:
             raise CheckpointError(f"{path}: tensor {name}: unknown dtype code {code!r}")
+        dtype, want = np.dtype(_DTYPE_CODES[code]), dtypes.get(name, dtypes.get("*"))
+        if want is None:
+            raise CheckpointError(f"{path}: tensor {name}: not part of a {kind}")
+        if not issubclass(dtype.type, want):
+            expected = "a float dtype" if want is np.floating else np.dtype(want)
+            raise CheckpointError(f"{path}: tensor {name}: dtype {dtype}, expected {expected}")
         if rows < 1 or cols < 1:
             raise CheckpointError(f"{path}: tensor {name}: dimension below 1 in {rows} x {cols}")
         if name in arrays:
             raise CheckpointError(f"{path}: tensor {name}: repeated in the manifest")
         if offset != end:
             raise CheckpointError(f"{path}: tensor {name}: offset {offset}, expected {end}")
-        dtype = np.dtype(_DTYPE_CODES[code])
         end = offset + rows * cols * dtype.itemsize
         chunk = payload[offset:end]
         if len(chunk) != end - offset:
@@ -179,7 +208,7 @@ def _read_container(path):
         arrays[name] = np.frombuffer(chunk, dtype=dtype).reshape(rows, cols).copy()
     if len(payload) != end:
         raise CheckpointError(f"{path}: payload of {len(payload)} bytes, manifest sums to {end}")
-    return pairs, arrays, raw
+    return header, arrays, raw
 
 
 @dataclass
@@ -192,69 +221,44 @@ class Checkpoint:
 
 
 def save_checkpoint(path, params: Params, train_config: TrainConfig, seed: int, epoch: int):
-    header = [f"format {FORMAT_VERSION}", "kind checkpoint"]
-    header += _header_lines("model", params.config)
-    header += _header_lines("train", train_config)
-    header += [f"seed {seed}", f"epoch {epoch}"]
-    _write_container(path, header, [(name, t.data) for name, t in params.named_tensors()])
+    _write_container(path, "checkpoint",
+                     {"model": params.config, "train": train_config, "seed": seed, "epoch": epoch},
+                     [(name, t.data) for name, t in params.named_tensors()])
 
 
 def load_checkpoint(path) -> Checkpoint:
-    pairs, arrays, raw = _read_container(path)
-    if pairs.get("kind") != "checkpoint":
-        raise CheckpointError(f"{path}: container kind {pairs.get('kind')!r} is not a checkpoint")
-    model_config = _header_section(path, pairs, ModelConfig, "model")
-    train_config = _header_section(path, pairs, TrainConfig, "train")
+    header, arrays, raw = _read_container(path, "checkpoint")
     try:
-        seed, epoch = int(pairs["seed"]), int(pairs["epoch"])
-    except (KeyError, ValueError) as err:
-        raise CheckpointError(f"{path}: bad or missing header seed/epoch: {err}") from err
-
-    for name, arr in arrays.items():
-        if arr.dtype not in (np.float32, np.float64):
-            raise CheckpointError(f"{path}: tensor {name}: dtype {arr.dtype}, expected a float dtype")
-    try:
-        params = Params.from_named(
-            model_config, {name: Tensor2(arr) for name, arr in arrays.items()}
-        )
+        params = Params.from_named(header["model"], {n: Tensor2(a) for n, a in arrays.items()})
     except ValueError as err:
         raise CheckpointError(f"{path}: {err}") from err
-    return Checkpoint(params=params, train_config=train_config, seed=seed, epoch=epoch,
-                      sha256=hashlib.sha256(raw).hexdigest())
+    return Checkpoint(params=params, train_config=header["train"], seed=header["seed"],
+                      epoch=header["epoch"], sha256=hashlib.sha256(raw).hexdigest())
 
 
 def save_dataset(path, batch: Batch, spec: TaskSpec, layout: VocabLayout):
     """Dataset artifact in the container format; the header holds the TaskSpec."""
-    header = [f"format {FORMAT_VERSION}", "kind dataset"]
-    header += _header_lines("task", spec)
-    header += _header_lines("layout", layout)
-    arrays = [
-        ("tokens", batch.tokens.astype(np.int64)),
-        ("targets", batch.targets.astype(np.int64)),
-        ("loss_mask", batch.loss_mask.astype(np.bool_)),
-    ]
-    if batch.meta is not None:
-        arrays.append(("meta", batch.meta.astype(np.int64).reshape(-1, 1)))
-    if batch.protected is not None:
-        arrays.append(("protected", batch.protected.astype(np.bool_)))
-    _write_container(path, header, arrays)
+    meta = None if batch.meta is None else batch.meta.astype(np.int64).reshape(-1, 1)
+    protected = None if batch.protected is None else batch.protected.astype(np.bool_)
+    arrays = [("tokens", batch.tokens.astype(np.int64)),
+              ("targets", batch.targets.astype(np.int64)),
+              ("loss_mask", batch.loss_mask.astype(np.bool_)), ("meta", meta), ("protected", protected)]
+    _write_container(path, "dataset", {"task": spec, "layout": layout},
+                     [(name, arr) for name, arr in arrays if arr is not None])
 
 
 def load_dataset(path) -> tuple[Batch, TaskSpec, VocabLayout]:
     """The batch, task and layout of a dataset artifact; CheckpointError names
     the file when the arrays fail TaskSpec.check against the header."""
-    pairs, arrays, _ = _read_container(path)
-    if pairs.get("kind") != "dataset":
-        raise CheckpointError(f"{path}: container kind {pairs.get('kind')!r} is not a dataset")
-    spec = _header_section(path, pairs, TaskSpec, "task")
-    layout = _header_section(path, pairs, VocabLayout, "layout")
+    header, arrays, _ = _read_container(path, "dataset")
+    spec, layout = header["task"], header["layout"]
     try:
         batch = Batch(
             tokens=arrays["tokens"],
             targets=arrays["targets"],
-            loss_mask=arrays["loss_mask"].astype(bool),
+            loss_mask=arrays["loss_mask"],
             meta=arrays["meta"].reshape(-1) if "meta" in arrays else None,
-            protected=arrays["protected"].astype(bool) if "protected" in arrays else None,
+            protected=arrays.get("protected"),
         )
         spec.check(batch, layout)
     except KeyError as err:  # tokens, targets and loss_mask are required
@@ -293,28 +297,23 @@ METRICS_COLUMNS = tuple(f.name for f in dataclass_fields(MetricsRow))
 
 
 class MetricsSink:
-    """Append-only CSV with one header line and a stable column order."""
+    """One run's CSV: a fresh file with one header line and a stable column
+    order, to which each write appends a row."""
 
     def __init__(self, path):
-        self.path = Path(path)
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        self._fh = open(self.path, "a")
-        if fresh:
-            self._fh.write(",".join(METRICS_COLUMNS) + "\n")
-            self._fh.flush()
+        self._fh = open(path, "w")
+        self._fh.write(",".join(METRICS_COLUMNS) + "\n")
+        self._fh.flush()
 
     def write(self, row: MetricsRow):
         self._fh.write(row.as_csv() + "\n")
         self._fh.flush()
 
-    def close(self):
-        self._fh.close()
-
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        self.close()
+        self._fh.close()
 
 
 # --------------------------------------------------------------------------

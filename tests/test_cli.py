@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from synres import cli, evalsuite
+from synres import cli, evalsuite, persist
 from synres.cli import _task_from_flags, build_parser, main
 from synres.datagen import TaskSpec
 from synres.evalsuite import (
@@ -86,6 +86,15 @@ def test_train_deterministic_metrics_bodies(config_path, tmp_path):
     assert main(["train", str(config_path), "--out", str(out1)]) == 0
     assert main(["train", str(config_path), "--out", str(out2)]) == 0
     assert metrics_body(out1 / "metrics.csv") == metrics_body(out2 / "metrics.csv")
+
+
+def test_train_twice_into_one_out_leaves_one_runs_metrics(config_path, tmp_path):
+    # metrics.csv was appended to: a second run left both runs' rows
+    once, twice = tmp_path / "once", tmp_path / "twice"
+    assert main(["train", str(config_path), "--out", str(once)]) == 0
+    for _ in range(2):
+        assert main(["train", str(config_path), "--out", str(twice)]) == 0
+    assert metrics_body(twice / "metrics.csv") == metrics_body(once / "metrics.csv")
 
 
 def test_train_overrides(config_path, tmp_path):
@@ -526,6 +535,56 @@ def test_eval_checkpoint_with_non_integer_seed_or_epoch_exit5(fresh_ckpt, capsys
     err = capsys.readouterr().err
     assert f"corrupt checkpoint: {fresh_ckpt}: bad or missing header seed/epoch" in err
     assert "'0.5'" in err
+
+
+@pytest.mark.parametrize("line,added,message", [
+    # the last value won: eval exited 0 and wrote epoch 7 into eval.csv
+    ("epoch 0", "epoch 7", "header key epoch repeated"),
+    # loaded as 0.5
+    ("model.sigma_init 0.02", "model.sigma_init 0.5", "header key model.sigma_init repeated"),
+    ("epoch 0", "bogus 1", "header key bogus is not part of a checkpoint"),  # loaded
+])
+def test_eval_checkpoint_with_a_repeated_or_stray_header_key_exit5(
+    fresh_ckpt, capsys, line, added, message
+):
+    blob = fresh_ckpt.read_bytes()
+    assert blob.count(f"\n{line}\n".encode()) == 1
+    fresh_ckpt.write_bytes(blob.replace(f"\n{line}\n".encode(), f"\n{line}\n{added}\n".encode()))
+    rc = main(["eval", str(fresh_ckpt), "--task", "copy", "--seq-len", "10", "--samples", "8"])
+    assert rc == 5
+    assert f"corrupt checkpoint: {fresh_ckpt}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,added,message", [
+    ("task.samples 20", "task.samples 40", "header key task.samples repeated"),
+    ("task.samples 20", "bogus 1", "header key bogus is not part of a dataset"),
+])
+def test_eval_artifact_with_a_repeated_or_stray_header_key_exit5(
+    fresh_ckpt, artifact, capsys, line, added, message
+):
+    blob = artifact.read_bytes()
+    assert blob.count(f"\n{line}\n".encode()) == 1
+    artifact.write_bytes(blob.replace(f"\n{line}\n".encode(), f"\n{line}\n{added}\n".encode()))
+    assert main(["eval", str(fresh_ckpt), "--data", str(artifact)]) == 5
+    assert f"corrupt checkpoint: {artifact}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,dtype,expected", [
+    ("tokens", np.float64, "int64"),  # loaded, then exited 2: "tokens must be integers"
+    ("loss_mask", np.float32, "bool"),  # loaded, and cast to bool without a word
+])
+def test_eval_artifact_with_an_array_in_another_dtype_exit5(
+    fresh_ckpt, artifact, capsys, name, dtype, expected
+):
+    batch, spec, layout = load_dataset(artifact)
+    arrays = {"tokens": batch.tokens, "targets": batch.targets, "loss_mask": batch.loss_mask,
+              "meta": batch.meta.reshape(-1, 1), "protected": batch.protected}
+    arrays[name] = arrays[name].astype(dtype)
+    persist._write_container(artifact, "dataset", {"task": spec, "layout": layout},
+                             list(arrays.items()))
+    assert main(["eval", str(fresh_ckpt), "--data", str(artifact)]) == 5
+    message = f"tensor {name}: dtype {np.dtype(dtype)}, expected {expected}"
+    assert f"corrupt checkpoint: {artifact}: {message}" in capsys.readouterr().err
 
 
 def test_eval_artifact_with_token_past_vocab_exit5(trained, artifact, capsys):

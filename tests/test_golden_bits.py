@@ -4,8 +4,10 @@ Initial parameters, a gen-data artifact and a training run's batch stream
 depend only on numpy's Philox streams, and a run's config.txt only on its
 config, so their digests are always asserted. Logits, checkpoints, metrics and eval.csv also depend on
 the BLAS kernels and numpy's SIMD loops, so they are pinned per fingerprint
-(numpy, BLAS, CPU features, dtype, and the kernel set OpenBLAS picked at
-run time, which OPENBLAS_CORETYPE can change on one CPU); each gate mode's
+(numpy, BLAS, CPU features, dtype, the kernel set OpenBLAS picked at run
+time, which OPENBLAS_CORETYPE can change on one CPU, and the number of BLAS
+threads, which OPENBLAS_NUM_THREADS or the CPU affinity set: on some
+kernel sets a product's bits depend on it); each gate mode's
 logits have their own digest, so a diff of the json shows which modes moved. On a fingerprint
 with no pinned digests the test computes everything twice, in two fresh
 processes, asserts the two agree and warns that the golden comparison did
@@ -85,13 +87,16 @@ val_fraction = 0.1
 
 def blas_kernels() -> str:
     """The kernel set numpy's bundled OpenBLAS picked at run time, such as
-    SkylakeX or Haswell; unknown without that library or its symbol."""
+    SkylakeX or Haswell, and the number of threads it runs; unknown without
+    that library or its symbols."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
-    for lib in glob.glob(libs):
-        corename = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
-        if corename is not None:
+    for lib in map(ctypes.CDLL, glob.glob(libs)):
+        corename = getattr(lib, "scipy_openblas_get_corename64_", None)
+        threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        if corename is not None and threads is not None:
             corename.argtypes, corename.restype = (), ctypes.c_char_p
-            return corename().decode()
+            threads.argtypes, threads.restype = (), ctypes.c_int
+            return f"{corename().decode()}; threads {threads()}"
     return "unknown"
 
 

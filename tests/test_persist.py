@@ -1,6 +1,8 @@
 """Container round trips, metrics CSV schema, config parsing strictness."""
 
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,7 +130,8 @@ def test_a_failed_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch, fai
     with pytest.raises(OSError, match="no space left"):
         if failing == "payload":
             arrays = [(name, t.data) for name, t in new.named_tensors()]
-            persist._write_container(path, ["format 1", "kind checkpoint"],
+            header = {"model": new.config, "train": TCFG, "seed": 3, "epoch": 2}
+            persist._write_container(path, "checkpoint", header,
                                      arrays[:3] + [("unreadable", _UnreadableArray())] + arrays[3:])
         else:
             monkeypatch.setattr(os, failing, _raise_os_error)
@@ -212,6 +215,117 @@ def test_dataset_kind_mismatch(tmp_path):
 
 
 # --------------------------------------------------------------------------
+# what a container's header and manifest may hold
+# --------------------------------------------------------------------------
+
+
+def _kv_dataset(path):
+    """A kv_recall artifact, which holds every optional tensor."""
+    spec = TaskSpec.kv_recall(distances=(4, 6), samples=6, seed=7)
+    layout = VocabLayout.synthetic(32, n_keys=spec.pairs)
+    save_dataset(path, gen_kv_recall(spec, layout, nc.Rng(7)), spec, layout)
+
+
+def _tiny_checkpoint(path):
+    cfg = ModelConfig(vocab_size=16, d_model=8, n_heads=2, n_layers=1, d_ff=16, max_seq_len=8)
+    save_checkpoint(path, init_params(cfg, nc.Rng(1)), TCFG, seed=3, epoch=1)
+
+
+_SAVE = {"checkpoint": _tiny_checkpoint, "dataset": _kv_dataset}
+_LOAD = {"checkpoint": load_checkpoint, "dataset": load_dataset}
+
+
+def _header_lines_of(kind: str) -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        _SAVE[kind](Path(tmp) / kind)
+        blob = (Path(tmp) / kind).read_bytes()
+    return blob[: blob.index(b"\n\n")].decode().split("\n")
+
+
+_HEADER_LINES = [(kind, line) for kind in _SAVE for line in _header_lines_of(kind)]
+
+
+@pytest.mark.parametrize("edit", ["delete", "repeat"])
+@pytest.mark.parametrize("kind,line", _HEADER_LINES, ids=[
+    f"{kind}:{'.'.join(line.split()[:2]) if line.startswith('tensor ') else line.split()[0]}"
+    for kind, line in _HEADER_LINES])
+def test_deleting_or_repeating_any_header_line_is_corrupt(tmp_path, kind, line, edit):
+    # every line of the header is indexed: none may go missing or come twice
+    path = tmp_path / kind
+    _SAVE[kind](path)
+    blob = path.read_bytes()
+    sep = blob.index(b"\n\n")
+    lines = blob[:sep].decode().split("\n")
+    at = lines.index(line)
+    lines[at : at + 1] = [] if edit == "delete" else [line, line]
+    path.write_bytes("\n".join(lines).encode() + blob[sep:])
+    with pytest.raises(CheckpointError, match=str(path)):
+        _LOAD[kind](path)
+
+
+@pytest.mark.parametrize("kind,line,added,message", [
+    # the last value won: a second epoch line set the loaded epoch
+    ("checkpoint", "epoch 1", "epoch 7", "header key epoch repeated"),
+    ("checkpoint", "model.sigma_init 0.02", "model.sigma_init 0.5",
+     "header key model.sigma_init repeated"),
+    ("checkpoint", "epoch 1", "bogus 1", "header key bogus is not part of a checkpoint"),
+    ("dataset", "task.samples 6", "task.samples 6", "header key task.samples repeated"),
+    ("dataset", "layout.vocab_size 32", "bogus 1", "header key bogus is not part of a dataset"),
+])
+def test_a_repeated_or_stray_header_key_is_corrupt_and_named(tmp_path, kind, line, added, message):
+    path = tmp_path / kind
+    _SAVE[kind](path)
+    blob = path.read_bytes()
+    assert blob.count(f"\n{line}\n".encode()) == 1
+    path.write_bytes(blob.replace(f"\n{line}\n".encode(), f"\n{line}\n{added}\n".encode()))
+    with pytest.raises(CheckpointError, match=f"{kind}: {message}$"):
+        _LOAD[kind](path)
+
+
+@pytest.mark.parametrize("name,dtype,expected", [
+    ("tokens", np.float64, "int64"),  # loaded, then failed Batch.validate with exit 2
+    ("targets", np.bool_, "int64"),
+    ("loss_mask", np.float32, "bool"),  # loaded, cast to bool without a word
+    ("meta", np.float64, "int64"),
+    ("protected", np.int64, "bool"),
+])
+def test_a_dataset_array_in_another_dtype_is_corrupt_and_named(tmp_path, name, dtype, expected):
+    path = tmp_path / "data.ds"
+    _kv_dataset(path)
+    batch, spec, layout = load_dataset(path)
+    arrays = {"tokens": batch.tokens, "targets": batch.targets, "loss_mask": batch.loss_mask,
+              "meta": batch.meta.reshape(-1, 1), "protected": batch.protected}
+    arrays[name] = arrays[name].astype(dtype)
+    persist._write_container(path, "dataset", {"task": spec, "layout": layout},
+                             list(arrays.items()))
+    message = f"tensor {name}: dtype {np.dtype(dtype)}, expected {expected}$"
+    with pytest.raises(CheckpointError, match=message):
+        load_dataset(path)
+
+
+def test_a_checkpoint_tensor_of_no_float_dtype_is_corrupt_and_named(tmp_path):
+    path = tmp_path / "model.ckpt"
+    params = init_params(CFG, nc.Rng(2))
+    arrays = [(name, t.data) for name, t in params.named_tensors()]
+    arrays[1] = (arrays[1][0], arrays[1][1] > 0)  # pos_emb stored as b1
+    persist._write_container(path, "checkpoint",
+                             {"model": CFG, "train": TCFG, "seed": 3, "epoch": 1}, arrays)
+    with pytest.raises(CheckpointError, match="tensor pos_emb: dtype bool, expected a float dtype$"):
+        load_checkpoint(path)
+
+
+def test_a_dataset_tensor_outside_its_table_is_corrupt_and_named(tmp_path):
+    path = tmp_path / "data.ds"
+    _kv_dataset(path)
+    batch, spec, layout = load_dataset(path)
+    arrays = [("tokens", batch.tokens), ("targets", batch.targets),
+              ("loss_mask", batch.loss_mask), ("weights", batch.tokens)]
+    persist._write_container(path, "dataset", {"task": spec, "layout": layout}, arrays)
+    with pytest.raises(CheckpointError, match="tensor weights: not part of a dataset$"):
+        load_dataset(path)
+
+
+# --------------------------------------------------------------------------
 # metrics sink
 # --------------------------------------------------------------------------
 
@@ -220,13 +334,16 @@ def test_metrics_sink_schema_and_append(tmp_path):
     path = tmp_path / "metrics.csv"
     row = MetricsRow(run_id="abc", epoch=0, phase="train", metric="loss",
                      value=1.5, gate_mode="learned", seed=7, wall_ms=12.5)
-    with MetricsSink(path) as sink:
+    with MetricsSink(path) as sink:  # each write appends a row under one header
         sink.write(row)
-    with MetricsSink(path) as sink:  # reopening appends, no second header
         sink.write(row)
     lines = path.read_text().splitlines()
     assert lines[0] == "run_id,epoch,phase,metric,value,gate_mode,seed,wall_ms"
     assert lines[1] == lines[2] == "abc,0,train,loss,1.5,learned,7,12.5"
+    assert len(lines) == 3
+    with MetricsSink(path) as sink:  # a second sink on the file starts it afresh
+        sink.write(row)
+    assert path.read_text().splitlines() == lines[:2]
 
 
 # --------------------------------------------------------------------------
