@@ -1,23 +1,24 @@
 """Controlled ablation: two full trainings differing only in whether the
-gate is learned or disabled — same seeds, bitwise-identical batch streams —
-then paired perplexity, retention, and noise metrics. Deltas are reported
-with their sign, not asserted: at desk scale either arm can win.
+gate is learned or disabled — same seeds, so one init and bitwise-identical
+batch streams — then paired perplexity, retention, and noise metrics. Each
+arm is bitwise the run `synres train --gate-mode learned|disabled` makes of
+the same [model], [train] and [task] sections. Deltas are reported with
+their sign, not asserted: at desk scale either arm can win.
 
-Runs in a couple of minutes.
+Runs in about ten seconds.
 Run: python demos/07_ablation.py
 """
 
-from synres.datagen import TaskSpec, VocabLayout
+from synres.datagen import TaskSpec
 from synres.model import ModelConfig
 from synres.train import TrainConfig, ablate
 
 task = TaskSpec.kv_recall(distances=(16, 32, 64), samples=768, seed=5)
-layout = VocabLayout.synthetic(5 + task.pairs + 16, n_keys=task.pairs, n_values=16)
-model_cfg = ModelConfig(vocab_size=layout.vocab_size, d_model=32, n_heads=4,
+model_cfg = ModelConfig(vocab_size=5 + task.pairs + 16, d_model=32, n_heads=4,
                         n_layers=2, d_ff=64, max_seq_len=task.seq_len)
 train_cfg = TrainConfig(epochs=6, batch_size=32, lr=0.5, grad_clip=1.0, seed=6)
 
-result = ablate(model_cfg, train_cfg, task, layout)
+result = ablate(model_cfg, train_cfg, task)
 
 assert result.learned.stream_digest == result.disabled.stream_digest
 print(f"batch streams paired: digest {result.learned.stream_digest[:16]}...\n")

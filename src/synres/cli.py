@@ -152,6 +152,8 @@ def cmd_train(args) -> int:
     data = build_task_data(task, layout)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    for name in ("last.ckpt", "best.ckpt"):  # an aborted run leaves no earlier run's
+        (out / name).unlink(missing_ok=True)
     save_config(out / "config.txt", resolved)
 
     run_id = _run_id(config_text(resolved), train_cfg.seed)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import evalsuite
 from . import numcore as nc
-from .datagen import Batch, TaskSpec, VocabLayout, batches, build_task_data
+from .datagen import Batch, TaskSpec, batches, build_task_data, layout_for
 from .model import GateMode, ModelConfig, Params, forward_batch, init_params
 from .numcore import GradGraph, NumericError, Rng, Tensor2
 
@@ -233,28 +233,19 @@ def run_training(
     train_config: TrainConfig,
     data: tuple[Batch, Batch],
     on_epoch=None,
-    init: Params | None = None,
     dtype=np.float32,
 ) -> TrainResult:
     """Full training: per epoch, one train pass, validation perplexity, and
     the decay check. Calls on_epoch(params, report) with each epoch's
-    EpochReport. Deterministic given configs and seeds.
-
-    init, when given, is trained in place under model_config's gate mode; its
-    architecture must match model_config's, or ValueError is raised. A
+    EpochReport. The init comes from the first split of
+    Rng(train_config.seed) and epoch e's batch order from split e + 1, so
+    this is the run `synres train` makes of the same configs, bitwise. A
     NumericError in an epoch's steps or its validation forward, or a
     non-finite validation perplexity, raises TrainingAbort."""
     train_ds, val_ds = data
     config = train_config.resolve(model_config.vocab_size)
     rng = Rng(config.seed)
-    if init is None:
-        params = init_params(model_config, rng.split(), dtype=dtype)
-    else:
-        params = init.with_gate_mode(model_config.gate_mode)
-        if params.config != model_config:
-            raise ValueError(
-                f"init architecture {init.config} differs from model_config {model_config}"
-            )
+    params = init_params(model_config, rng.split(), dtype=dtype)
     lr = config.lr
     history: list[EpochReport] = []
     digest = hashlib.sha256()
@@ -300,7 +291,6 @@ class ArmSummary:
 class AblationResult:
     learned: ArmSummary
     disabled: ArmSummary
-    init: Params  # pristine pre-training snapshot shared by both arms
 
     def rows(self) -> list[ArmSummary]:
         return [self.learned, self.disabled]
@@ -310,23 +300,22 @@ def ablate(
     model_config: ModelConfig,
     train_config: TrainConfig,
     task_spec: TaskSpec,
-    layout: VocabLayout,
     metrics_sink=None,
     noise_levels=evalsuite.DEFAULT_NOISE_LEVELS,
     dtype=np.float32,
 ) -> AblationResult:
     """Two full trainings differing only in gate mode (learned vs disabled),
-    on bitwise-identical data and seeds. Each arm's params carry its own gate
-    mode. Deltas are reported, never asserted."""
+    on the task's default vocabulary layout: each arm is bitwise the run
+    `synres train --gate-mode <mode>` makes of the same configs, so one seed
+    gives both arms one init and one batch stream. Each arm's params carry
+    its own gate mode. Deltas are reported, never asserted."""
+    layout = layout_for(task_spec, model_config.vocab_size)
     data = build_task_data(task_spec, layout)
-    init = init_params(model_config, Rng(train_config.seed).split(), dtype=dtype)
     arms = {}
     for gate_mode in (GateMode.LEARNED, GateMode.DISABLED):
-        arm_config = replace(model_config, gate_mode=gate_mode)
         on_epoch = (lambda _, rep, m=gate_mode: metrics_sink(m, rep)) if metrics_sink else None
-        result = run_training(
-            arm_config, train_config, data, on_epoch=on_epoch, init=init.copy(), dtype=dtype
-        )
+        result = run_training(replace(model_config, gate_mode=gate_mode), train_config, data,
+                              on_epoch=on_epoch, dtype=dtype)
         val, clean, retention = data[1], None, None
         if val.meta is not None:  # retention and noise level 0 read one pass
             clean = evalsuite.score(result.params, val, evalsuite.value_range_for(val, layout))
@@ -342,6 +331,4 @@ def ablate(
             stream_digest=result.stream_digest,
             params=result.params,
         )
-    return AblationResult(
-        learned=arms[GateMode.LEARNED], disabled=arms[GateMode.DISABLED], init=init
-    )
+    return AblationResult(learned=arms[GateMode.LEARNED], disabled=arms[GateMode.DISABLED])

@@ -255,10 +255,9 @@ def test_criterion_03_baseline_equivalence():
                       max_seq_len=12, gate_mode=GateMode.DISABLED)
     layout = VocabLayout.synthetic(32)
     data = build_task_data(TaskSpec(kind="copy", seq_len=10, samples=48, seed=7), layout)
-    init = init_params(cfg, nc.Rng(7))
-    snapshot = [w.data.copy() for w in init.synaptic()]
-    result = run_training(cfg, TrainConfig(epochs=3, batch_size=16, lr=0.5, seed=7),
-                          data, init=init)
+    # the run's init: the first split of Rng(seed)
+    snapshot = [w.data.copy() for w in init_params(cfg, nc.Rng(7).split()).synaptic()]
+    result = run_training(cfg, TrainConfig(epochs=3, batch_size=16, lr=0.5, seed=7), data)
     for w, before in zip(result.params.synaptic(), snapshot):
         np.testing.assert_array_equal(w.data, before)
     _report(3, "forced_ones == disabled bitwise; disabled training froze every W_s")
@@ -434,11 +433,10 @@ def test_criterion_08_determinism_and_persistence(tmp_path):
 
 def test_criterion_09_ablation_harness():
     spec = TaskSpec.kv_recall(distances=(16, 32, 64), samples=384, seed=31)
-    layout = VocabLayout.synthetic(5 + spec.pairs + 16, n_keys=spec.pairs, n_values=16)
-    model_cfg = ModelConfig(vocab_size=layout.vocab_size, d_model=32, n_heads=4,
+    model_cfg = ModelConfig(vocab_size=5 + spec.pairs + 16, d_model=32, n_heads=4,
                             n_layers=2, d_ff=64, max_seq_len=spec.seq_len)
     train_cfg = TrainConfig(epochs=3, batch_size=32, lr=0.5, grad_clip=1.0, seed=32)
-    result = ablate(model_cfg, train_cfg, spec, layout)
+    result = ablate(model_cfg, train_cfg, spec)
 
     rows = result.rows()
     assert len(rows) == 2
@@ -448,7 +446,8 @@ def test_criterion_09_ablation_harness():
         assert len(arm.loss_curve) == 3
         assert arm.retention_percent is not None
         assert len(arm.noise_grid.rows) == 4
-    for w_after, w_init in zip(result.disabled.params.synaptic(), result.init.synaptic()):
+    pristine = init_params(model_cfg, nc.Rng(train_cfg.seed).split()).synaptic()
+    for w_after, w_init in zip(result.disabled.params.synaptic(), pristine):
         np.testing.assert_array_equal(w_after.data, w_init.data)
 
     # deltas are reported with their sign, never asserted

@@ -97,6 +97,18 @@ def test_train_twice_into_one_out_leaves_one_runs_metrics(config_path, tmp_path)
     assert metrics_body(twice / "metrics.csv") == metrics_body(once / "metrics.csv")
 
 
+def test_train_aborted_into_an_earlier_out_leaves_no_earlier_checkpoint(config_path, tmp_path):
+    # the aborted run once left the first run's last.ckpt and best.ckpt
+    # (lr 0.5) beside its own config.txt (lr 1e30)
+    out = tmp_path / "o"
+    assert main(["train", str(config_path), "--out", str(out)]) == 0
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SMALL_CONFIG.replace("lr = 0.5", "lr = 1e30"))
+    assert main(["train", str(bad), "--out", str(out)]) == 3
+    assert "lr = 1e+30" in (out / "config.txt").read_text()
+    assert not (out / "last.ckpt").exists() and not (out / "best.ckpt").exists()
+
+
 def test_train_overrides(config_path, tmp_path):
     out = tmp_path / "ov"
     rc = main(["train", str(config_path), "--out", str(out),

@@ -10,7 +10,9 @@ import pytest
 from synres import evalsuite
 from synres import numcore as nc
 from synres import train
-from synres.datagen import TaskSpec, VocabLayout, build_task_data, gen_copy, gen_kv_recall
+from synres.datagen import (
+    TaskSpec, VocabLayout, build_task_data, gen_copy, gen_kv_recall, layout_for,
+)
 from synres.evalsuite import (
     EVAL_CHUNK,
     LatencyCurve,
@@ -351,25 +353,23 @@ def test_latency_enforces_protocol(monkeypatch):
 
 def test_ablate_pairs_arms_and_freezes_disabled_gate():
     spec = TaskSpec.kv_recall(distances=(4, 6), samples=60, seed=21)
-    layout = VocabLayout.synthetic(5 + spec.pairs + 8, n_keys=spec.pairs, n_values=8)
     model_cfg = ModelConfig(
-        vocab_size=layout.vocab_size, d_model=16, n_heads=2, n_layers=1, d_ff=32,
+        vocab_size=5 + spec.pairs + 8, d_model=16, n_heads=2, n_layers=1, d_ff=32,
         max_seq_len=spec.seq_len,
     )
     train_cfg = TrainConfig(epochs=2, batch_size=16, lr=0.3, seed=22)
     sunk = []
-    result = ablate(model_cfg, train_cfg, spec, layout,
+    result = ablate(model_cfg, train_cfg, spec,
                     metrics_sink=lambda mode, rep: sunk.append((mode, rep.epoch)))
     rows = result.rows()
     assert [r.gate_mode for r in rows] == [GateMode.LEARNED, GateMode.DISABLED]
     assert result.learned.stream_digest == result.disabled.stream_digest
     assert len(result.learned.loss_curve) == 2
     assert result.learned.retention_percent is not None
-    for w_after, w_init in zip(result.disabled.params.synaptic(), result.init.synaptic()):
+    pristine = init_params(model_cfg, nc.Rng(train_cfg.seed).split()).synaptic()
+    for w_after, w_init in zip(result.disabled.params.synaptic(), pristine):
         np.testing.assert_array_equal(w_after.data, w_init.data)
-    assert not np.array_equal(
-        result.learned.params.synaptic()[0].data, result.init.synaptic()[0].data
-    )
+    assert not np.array_equal(result.learned.params.synaptic()[0].data, pristine[0].data)
     assert sunk == [(GateMode.LEARNED, 0), (GateMode.LEARNED, 1),
                     (GateMode.DISABLED, 0), (GateMode.DISABLED, 1)]
 
@@ -378,14 +378,12 @@ def test_ablate_arm_params_carry_their_gate_mode():
     # both arms start from one init; each arm's returned params must evaluate
     # to the perplexity that arm reported
     spec = TaskSpec.kv_recall(distances=(4, 6), samples=60, seed=21)
-    layout = VocabLayout.synthetic(5 + spec.pairs + 8, n_keys=spec.pairs, n_values=8)
     model_cfg = ModelConfig(
-        vocab_size=layout.vocab_size, d_model=8, n_heads=2, n_layers=1, d_ff=16,
+        vocab_size=5 + spec.pairs + 8, d_model=8, n_heads=2, n_layers=1, d_ff=16,
         max_seq_len=spec.seq_len,
     )
-    result = ablate(model_cfg, TrainConfig(epochs=1, batch_size=16, lr=0.3, seed=22),
-                    spec, layout)
-    _, val = build_task_data(spec, layout)
+    result = ablate(model_cfg, TrainConfig(epochs=1, batch_size=16, lr=0.3, seed=22), spec)
+    _, val = build_task_data(spec, layout_for(spec, model_cfg.vocab_size))
     for arm in result.rows():
         assert arm.params.config.gate_mode == arm.gate_mode
         assert perplexity(score(arm.params, val)) == arm.final_val_ppl
@@ -417,7 +415,7 @@ def test_ablate_scores_the_validation_set_once_after_training(monkeypatch, kind)
         return result
 
     monkeypatch.setattr(train, "run_training", run_training)
-    ablate(model_cfg, TrainConfig(epochs=2, batch_size=64, lr=0.3, seed=22), spec, layout)
+    ablate(model_cfg, TrainConfig(epochs=2, batch_size=64, lr=0.3, seed=22), spec)
     _, val = build_task_data(spec, layout)
     chunks = -(-val.n_rows // EVAL_CHUNK)
     assert chunks == 2

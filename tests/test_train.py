@@ -11,14 +11,17 @@ import warnings
 import numpy as np
 import pytest
 
+from synres import cli
 from synres import numcore as nc
 from synres import train as train_module
 from synres.datagen import Batch, TaskSpec, VocabLayout, gen_copy, gen_kv_recall, batches, build_task_data
 from synres.model import GateMode, ModelConfig, forward_batch, init_params
+from synres.persist import load_checkpoint, load_config
 from synres.train import (
     EpochReport,
     TrainConfig,
     TrainingAbort,
+    ablate,
     loss,
     lr_decay_check,
     run_training,
@@ -548,21 +551,14 @@ def test_run_disabled_gate_freezes_synaptic_bitwise():
     data = small_data(samples=40)
     cfg = ModelConfig(**{**CFG.__dict__, "gate_mode": GateMode.DISABLED})
     tc = TrainConfig(epochs=2, batch_size=8, lr=0.5, reg_weight=1e-3, seed=7)
-    init = init_params(cfg, nc.Rng(7))
-    snapshot = [w.data.copy() for w in init.synaptic()]
-    result = run_training(cfg, tc, data, init=init)
+    # a run's init is drawn from the first split of its seed's Rng
+    snapshot = [w.data.copy() for w in init_params(cfg, nc.Rng(7).split()).synaptic()]
+    result = run_training(cfg, tc, data)
     for w, before in zip(result.params.synaptic(), snapshot):
         np.testing.assert_array_equal(w.data, before)
     expected_reg = 1e-3 * sum(float((w ** 2).sum()) for w in snapshot)
     for rep in result.history:
         np.testing.assert_allclose(rep.mean_reg, expected_reg, rtol=1e-5)
-
-
-def test_run_rejects_init_of_another_architecture():
-    init = init_params(ModelConfig(**{**CFG.__dict__, "d_model": 8}), nc.Rng(7))
-    tc = TrainConfig(epochs=1, batch_size=8, lr=0.5, seed=7)
-    with pytest.raises(ValueError, match="architecture"):
-        run_training(CFG, tc, small_data(samples=24), init=init)
 
 
 def test_run_metrics_sink_and_epoch_callback():
@@ -586,19 +582,20 @@ def test_run_abort_carries_partial_history():
     assert exc.value.epoch == len(exc.value.history)
 
 
-def test_run_diverged_validation_is_a_numeric_abort():
+def test_run_diverged_validation_is_a_numeric_abort(monkeypatch):
     # the steps stay finite, but validation perplexity overflows: exp of a
     # mean NLL near 1e32 is inf, quietly, and the run aborts at that epoch
     cfg = ModelConfig(16, 8, 2, 1, 16, 8)
     init = init_params(cfg, nc.Rng(0))
     init.unembed.data *= 1e33
+    monkeypatch.setattr(train_module, "init_params", lambda *args, **kwargs: init)
     data = build_task_data(TaskSpec(kind="copy", seq_len=6, samples=64, seed=1),
                            VocabLayout.synthetic(16))
     tc = TrainConfig(epochs=1, batch_size=16, lr=1e-5, grad_clip=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(TrainingAbort, match="epoch 0: validation perplexity inf") as exc:
-            run_training(cfg, tc, data, init=init)
+            run_training(cfg, tc, data)
     assert exc.value.epoch == 0 and exc.value.history == []
 
 
@@ -618,3 +615,45 @@ def test_run_validation_numeric_error_is_a_numeric_abort(monkeypatch):
     with pytest.raises(TrainingAbort, match="epoch 1: non-finite values in logits") as exc:
         run_training(CFG, TrainConfig(epochs=3, batch_size=8, seed=9), small_data(samples=24))
     assert exc.value.epoch == 1 and [rep.epoch for rep in exc.value.history] == [0]
+
+
+ABLATE_CONFIG = """\
+[model]
+vocab_size = 16
+d_model = 8
+n_heads = 2
+n_layers = 1
+d_ff = 16
+max_seq_len = 8
+
+[train]
+epochs = 2
+batch_size = 16
+lr = 0.3
+seed = 22
+
+[task]
+kind = kv_recall
+distances = 4,6
+samples = 60
+seed = 21
+"""
+
+
+def test_ablate_arms_are_synres_train_runs(tmp_path):
+    # each arm is the run `synres train --gate-mode <mode>` makes of the same
+    # config: its init and batch order come from the train seed alone
+    config = tmp_path / "run.cfg"
+    config.write_text(ABLATE_CONFIG)
+    spec = load_config(config)
+    result = ablate(spec.model, spec.train, spec.task)
+    for arm in result.rows():
+        out = tmp_path / arm.gate_mode.value
+        assert cli.main(["train", str(config), "--out", str(out),
+                         "--gate-mode", arm.gate_mode.value]) == 0
+        ckpt = load_checkpoint(out / "last.ckpt")
+        assert ckpt.params.config == arm.params.config
+        for (name, got), (_, want) in zip(arm.params.named_tensors(),
+                                          ckpt.params.named_tensors()):
+            assert got.data.dtype == want.data.dtype, name
+            np.testing.assert_array_equal(got.data, want.data, err_msg=name)
