@@ -324,12 +324,9 @@ def _trunk(params, tokens, mode, positions, want_trace, graph):
     every row of each sequence or, with positions, those rows alone."""
     n_seqs, n = tokens.shape
     rows = None if positions is None else (np.arange(n_seqs)[:, None] * n + positions).reshape(-1)
-    # the n position rows are gathered once and added to every sequence
-    x = nc.add_row(
-        nc.gather_rows(params.tok_emb, tokens.reshape(-1), graph),
-        nc.gather_rows(params.pos_emb, np.arange(n), graph),
-        graph,
-    )
+    # the first n position rows, read from the table, go to every sequence
+    x = nc.add_row(nc.gather_rows(params.tok_emb, tokens.reshape(-1), graph), params.pos_emb,
+                   graph, k=n)
     trace = ActivationTrace() if want_trace else None
     last = params.layers[-1]
     for layer in params.layers:

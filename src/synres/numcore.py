@@ -22,6 +22,7 @@ import functools
 import itertools
 import math
 import threading
+import types
 from typing import Callable, Sequence
 
 import numpy as np
@@ -98,6 +99,28 @@ def ones(rows: int, cols: int, dtype=np.float32) -> Tensor2:
 
 def eye(n: int, dtype=np.float32) -> Tensor2:
     return Tensor2(np.eye(n, dtype=dtype))
+
+
+@functools.lru_cache(maxsize=64)
+def _const(value: float, dtype: np.dtype) -> np.ndarray:
+    """value as a read-only 0-d array of dtype, a ufunc's constant operand.
+    A ufunc rounds value to an array's dtype as it would the Python scalar
+    (NEP 50), so the bits are the scalar's, without converting it per call."""
+    c = np.array(value, dtype=dtype)
+    c.flags.writeable = False
+    return c
+
+
+# each dtype's fixed constants, looked up once per op call; gelu's are its
+# tanh form's sqrt(2/pi), a and 3a
+_K = {
+    dt: types.SimpleNamespace(
+        one=_const(1.0, dt), half=_const(0.5, dt), ln_eps=_const(LN_EPS, dt),
+        gelu_c=_const(math.sqrt(2.0 / math.pi), dt), gelu_a=_const(0.044715, dt),
+        gelu_3a=_const(3.0 * 0.044715, dt),
+    )
+    for dt in (np.dtype(np.float32), np.dtype(np.float64))
+}
 
 
 def _check_finite(out: np.ndarray, op: str) -> None:
@@ -326,7 +349,8 @@ def matmul(
         raise DimensionError(f"matmul: bias must be [1x{n}], got {bias.shape}")
     out_data = _mm(ad, bd)
     out_data += bias.data
-    # the bias gradient is add_row's block sum, so its bits are add_row's
+    # the bias gradient sums the blocks as add_row does, so its bits are
+    # add_row's, but that a zero sum keeps its sign
     return _result(
         "matmul", out_data, graph, (a, b, bias),
         lambda g: (g @ bd.T, ad.T @ g, g.reshape(-1, 1, n).sum(axis=0)),
@@ -342,21 +366,29 @@ def add(x: Tensor2, y: Tensor2, graph: GradGraph | None = None) -> Tensor2:
 
 
 @_quiet
-def add_row(x: Tensor2, row: Tensor2, graph: GradGraph | None = None) -> Tensor2:
-    """Broadcast-add a [k x d] block to every k-row block of x (the only
-    broadcast allowed); k = 1 adds one row to every row. The model adds its
-    position rows with it; a bias row goes into matmul(bias=)."""
-    k, d = row.shape
-    if d != x.cols or x.rows % k != 0:
-        raise DimensionError(
-            f"add_row: expected a [k x {x.cols}] block with k dividing {x.rows}, got {row.shape}"
-        )
+def add_row(
+    x: Tensor2, table: Tensor2, graph: GradGraph | None = None, *, k: int | None = None
+) -> Tensor2:
+    """Broadcast-add the first k rows of table, all of them when k is None,
+    to every k-row block of x (the only broadcast allowed); k = 1 adds one
+    row to every row. The model adds its first n position rows with it, read
+    from the table in place; a bias row goes into matmul(bias=)."""
+    t, d = table.shape
+    k = t if k is None else k
+    if d != x.cols or not 0 < k <= t or x.rows % k != 0:
+        raise DimensionError(f"add_row: k={k} rows of a {table.shape} table do not tile {x.shape}")
     blocks = x.rows // k
-    out_data = (x.data.reshape(blocks, k, d) + row.data).reshape(x.shape)
-    # sums the blocks in order, so it equals np.add.at over tiled indices
-    return _result(
-        "add_row", out_data, graph, (x, row), lambda g: (g, g.reshape(blocks, k, d).sum(axis=0))
-    )
+    out_data = (x.data.reshape(blocks, k, d) + table.data[:k]).reshape(x.shape)
+    dtype = table.dtype  # the vjp keeps no table alive
+
+    def vjp(g):
+        # the blocks summed in order, into zeros as np.add.at scatters them
+        # over tiled indices: bitwise a gather of the k rows, -0.0 included
+        dt = np.zeros((t, d), dtype=dtype)
+        dt[:k] += g.reshape(blocks, k, d).sum(axis=0)
+        return g, dt
+
+    return _result("add_row", out_data, graph, (x, table), vjp)
 
 
 @_quiet
@@ -381,13 +413,10 @@ def sigmoid(x: Tensor2, graph: GradGraph | None = None) -> Tensor2:
     _check_finite(x.data, "sigmoid input")  # the formula maps +-inf to 1 and 0
     out_data = np.negative(x.data)
     np.exp(out_data, out=out_data)
-    out_data += 1.0
+    one = _K[x.dtype].one
+    out_data += one
     np.reciprocal(out_data, out=out_data)
-    return _result(None, out_data, graph, (x,), lambda g: (g * out_data * (1.0 - out_data),))
-
-
-_GELU_C = math.sqrt(2.0 / math.pi)
-_GELU_A = 0.044715
+    return _result(None, out_data, graph, (x,), lambda g: (g * out_data * (one - out_data),))
 
 
 def tile_bounds(n: int, item_bytes: int, budget: int) -> list[int]:
@@ -400,26 +429,27 @@ def tile_bounds(n: int, item_bytes: int, budget: int) -> list[int]:
 def _gelu_rows(xd, want_d, out=None, d=None, t=None, half_x=None):
     """GELU of xd, and its derivative d when want_d, written into the given
     buffers (fresh arrays for None); t and half_x are scratch."""
-    t = np.multiply(xd, _GELU_A, out=t)
+    k = _K[xd.dtype]
+    t = np.multiply(xd, k.gelu_a, out=t)
     t *= xd
     t *= xd
     t += xd
-    t *= _GELU_C
+    t *= k.gelu_c
     np.tanh(t, out=t)
-    half_x = np.multiply(xd, 0.5, out=half_x)
-    out = np.add(t, 1.0, out=out)
+    half_x = np.multiply(xd, k.half, out=half_x)
+    out = np.add(t, k.one, out=out)
     if want_d:
-        d = np.multiply(out, 0.5, out=d)
+        d = np.multiply(out, k.half, out=d)
     out *= half_x
     if want_d:
         # d = 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * (c * (1 + 3a * x * x))
         np.multiply(t, t, out=t)
-        np.subtract(1.0, t, out=t)
+        np.subtract(k.one, t, out=t)
         t *= half_x
-        du = np.multiply(xd, 3.0 * _GELU_A, out=half_x)  # half_x is spent
+        du = np.multiply(xd, k.gelu_3a, out=half_x)  # half_x is spent
         du *= xd
-        du += 1.0
-        du *= _GELU_C
+        du += k.one
+        du *= k.gelu_c
         t *= du
         d += t
     return out, d
@@ -466,12 +496,13 @@ def frobenius_sq(x: Tensor2, graph: GradGraph | None = None) -> Tensor2:
     return _result("frobenius_sq", val, graph, (x,), lambda g: (2.0 * float(g[0, 0]) * xd,))
 
 
-def _row_mean(a: np.ndarray) -> np.ndarray:
+def _row_mean(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """a.mean(axis=1, keepdims=True), bitwise, without ndarray.mean's Python
-    wrapper. mean divides in float64 and rounds to a's dtype; for float32,
-    one float32 divide rounds the same, as 53 >= 2 * 24 + 2 bits."""
+    wrapper; cols is a's column count as _const(cols, a.dtype). mean divides
+    in float64 and rounds to a's dtype; for float32, one float32 divide
+    rounds the same, as 53 >= 2 * 24 + 2 bits."""
     s = np.add.reduce(a, axis=1, keepdims=True)
-    s /= a.shape[1]
+    s /= cols
     return s
 
 
@@ -488,14 +519,15 @@ def layer_norm(
         raise DimensionError(
             f"layer_norm: gain/bias must be [1x{d}], got {gain.shape}, {bias.shape}"
         )
-    mean = _row_mean(x.data)
-    xhat = x.data - mean
-    sq = xhat * xhat
-    var = _row_mean(sq)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
+    k, cols = _K[x.dtype], _const(d, x.dtype)
+    xhat = x.data - _row_mean(x.data, cols)
+    inv = _row_mean(xhat * xhat, cols)  # the variance, turned into 1/sqrt(var + eps) in place
+    inv += k.ln_eps
+    np.sqrt(inv, out=inv)
+    np.divide(k.one, inv, out=inv)
     xhat *= inv
     gd = gain.data
-    out_data = np.multiply(xhat, gd, out=sq)
+    out_data = xhat * gd
     out_data += bias.data
 
     def vjp(g):
@@ -503,8 +535,8 @@ def layer_norm(
         dgain = tmp.sum(axis=0, keepdims=True)
         dbias = g.sum(axis=0, keepdims=True)
         dx = g * gd  # dxhat, turned into dx in place
-        m2 = _row_mean(np.multiply(dx, xhat, out=tmp))
-        dx -= _row_mean(dx)
+        m2 = _row_mean(np.multiply(dx, xhat, out=tmp), cols)
+        dx -= _row_mean(dx, cols)
         dx -= np.multiply(xhat, m2, out=tmp)
         dx *= inv
         return dx, dgain, dbias
@@ -512,15 +544,23 @@ def layer_norm(
     return _result("layer_norm", out_data, graph, (x, gain, bias), vjp)
 
 
+def _as_index(a: np.ndarray, what: str) -> np.ndarray:
+    """Integer a as int64; a float would be truncated and a bool read as 0 or 1."""
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got dtype {a.dtype}")
+    return a.astype(np.int64, copy=False)
+
+
 @_quiet
 def gather_rows(table: Tensor2, indices: np.ndarray, graph: GradGraph | None = None) -> Tensor2:
     """Select rows of a table by integer index (embedding lookup). The vjp
     is bitwise np.add.at of the gradient rows into zeros: it assigns them
     where the indices increase strictly, and scatters them otherwise."""
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    idx = np.asarray(indices).reshape(-1)
     if idx.size == 0:
         raise DimensionError("gather_rows: empty index list")
-    if idx.min() < 0 or idx.max() >= table.rows:
+    idx = _as_index(idx, "gather_rows: indices")
+    if idx.view(np.uint64).max() >= table.rows:  # a negative index wraps past every row
         raise ValueError(f"gather_rows: index out of range [0, {table.rows})")
 
     shape, dtype = table.shape, table.dtype  # the vjp keeps no table alive
@@ -594,16 +634,16 @@ def cross_entropy_logits(
 ) -> Tensor2:
     """Mean -log softmax(logits)[target] over masked-in rows, via log-sum-exp."""
     n, v = logits.shape
-    tgt = np.asarray(targets, dtype=np.int64).reshape(-1)
+    tgt = np.asarray(targets).reshape(-1)
     msk = np.asarray(mask, dtype=bool).reshape(-1)
     if tgt.size != n or msk.size != n:
         raise DimensionError(
             f"cross_entropy_logits: {n} rows but {tgt.size} targets / {msk.size} mask entries"
         )
+    tgt = _as_index(tgt, "cross_entropy_logits: targets")
     if not msk.any():
         raise ValueError("cross_entropy_logits: mask selects no positions")
-    live = tgt[msk]
-    if live.min() < 0 or live.max() >= v:
+    if tgt[msk].view(np.uint64).max() >= v:  # a negative target wraps past every class
         raise ValueError(f"cross_entropy_logits: target index out of range [0, {v})")
 
     safe_tgt = np.where(msk, tgt, 0)  # masked-out rows may carry junk targets
@@ -669,7 +709,7 @@ def multihead_attention(
     if _deferred.get():  # the softmax drops a -inf score, so a bad key cannot wait
         _check_finite(k.data, "multihead_attention key")
     dh = d // n_heads
-    inv = 1.0 / math.sqrt(dh)
+    inv = _const(1.0 / math.sqrt(dh), q.dtype)
 
     def split_heads(t):  # [(S*m) x d] -> [S, h, m, dh]
         return t.reshape(n_seqs, -1, n_heads, dh).transpose(0, 2, 1, 3)

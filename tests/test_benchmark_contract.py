@@ -117,9 +117,10 @@ def test_traced_blocked_eval_chunk_is_one_span_counting_every_sequence(monkeypat
     params = init_params(CFG, Rng(6))
     tokens = Rng(7).integers(0, CFG.vocab_size, size=(5, 6))
     monkeypatch.setattr(model, "BLOCK_BUDGET", 1)
-    # per block: token and position rows, then the last layer's query and
-    # residual row gathers, with one position as with two
-    for positions, gathers in ((None, 2), ([2, 5], 4), ([5], 4)):
+    # per block: token rows (add_row reads the position rows from their
+    # table), then the last layer's query and residual row gathers, with one
+    # position as with two
+    for positions, gathers in ((None, 1), ([2, 5], 3), ([5], 3)):
         spans = tracer.Tracer()
         spans.install()
         try:

@@ -465,6 +465,18 @@ README_MODEL = ModelConfig(
 BUDGETS = (1, 1000, 4000, 64 * 1024, model.BLOCK_BUDGET, 1 << 30)  # 1 byte to 1 GiB
 
 
+def test_single_sequence_forward_records_34_ops():
+    # the README model, gate learned: token rows and the position rows, read
+    # from their table by add_row, not gathered; 15 ops per layer; the final
+    # norm and the unembedding. A request pays a fixed cost per op
+    params = init_params(README_MODEL, nc.Rng(65))
+    graph = nc.GradGraph()
+    forward(params, nc.Rng(66).integers(0, README_MODEL.vocab_size, size=2), graph=graph)
+    names = [vjp.__qualname__.split(".")[0] for _, _, vjp in graph._records]
+    assert graph.n_ops == 34
+    assert names[:3] == ["gather_rows", "add_row", "layer_norm"] and names.count("gather_rows") == 1
+
+
 def _block_sizes(monkeypatch):
     """The sequences per trunk call and the rows per tail call, filled in
     as forwards run."""

@@ -248,6 +248,24 @@ def test_cross_entropy_errors():
     np.testing.assert_allclose(out.item(), math.log(3.0), atol=1e-6)
 
 
+def test_index_arrays_must_be_integers():
+    # a float index was truncated to a row and a bool read as row 0 or 1:
+    # [1.7, 2.2] gathered rows 1 and 2, and as targets gave the loss at [1, 2]
+    table, logits = rnd(4, 3, seed=23), rnd(2, 3, seed=24)
+    for bad in ([1.7, 2.2], np.array([1.0, 2.0]), np.array([True, True])):
+        with pytest.raises(ValueError, match=r"^gather_rows: indices must be integers"):
+            nc.gather_rows(table, bad)
+        with pytest.raises(ValueError, match=r"^cross_entropy_logits: targets must be integers"):
+            nc.cross_entropy_logits(logits, bad, [True, True])
+    for good in ([1, 2], np.array([1, 2], dtype=np.uint8)):
+        assert_bitwise(nc.gather_rows(table, good).data, table.data[[1, 2]])
+        assert nc.cross_entropy_logits(logits, good, [True, True]).item() > 0.0
+    with pytest.raises(ValueError, match="out of range"):
+        nc.gather_rows(table, np.array([2, -1]))
+    with pytest.raises(ValueError, match="out of range"):
+        nc.cross_entropy_logits(logits, [-1, 0], [True, True])
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_row_nll_bitwise_against_the_two_array_formula(dtype):
     # exp runs in place on the fresh x - m; the values are those of
@@ -693,6 +711,36 @@ def test_gelu_bitwise_against_formula(dtype):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
+def test_sigmoid_bitwise_against_formula(dtype):
+    # the in-place kernel and its vjp against the formula's Python scalars
+    x = rnd(136, 259, seed=65, dtype=dtype, scale=6.0)
+    g = rnd(136, 259, seed=66, dtype=dtype).data
+    out, vjp = _vjp_of_last_op(lambda graph: nc.sigmoid(x, graph))
+    ref_out = 1.0 / (1.0 + np.exp(-x.data))
+    assert_bitwise(out.data, ref_out)
+    (dx,) = vjp(g)
+    assert_bitwise(dx, g * ref_out * (1.0 - ref_out))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_constants_round_as_the_python_scalars_they_replace(dtype):
+    # NEP 50: a ufunc rounds a Python float to the array's dtype, so a 0-d
+    # constant of that dtype gives its bits; a numpy that changes this fails here
+    x = rnd(8, 67, seed=67, dtype=dtype, scale=3.0).data
+    dt = np.dtype(dtype)
+    scalars = {"one": 1.0, "half": 0.5, "ln_eps": nc.LN_EPS, "gelu_c": math.sqrt(2.0 / math.pi),
+               "gelu_a": 0.044715, "gelu_3a": 3.0 * 0.044715}
+    consts = [(getattr(nc._K[dt], name), value) for name, value in scalars.items()]
+    consts += [(nc._const(64, dt), 64), (nc._const(1.0 / math.sqrt(16), dt), 1.0 / math.sqrt(16))]
+    for c, value in consts:
+        assert c.shape == () and c.dtype == dt and not c.flags.writeable
+        for ufunc in (np.add, np.subtract, np.multiply, np.divide):
+            assert_bitwise(ufunc(x, c), ufunc(x, value))
+            assert_bitwise(ufunc(c, x), ufunc(value, x))
+    assert nc._const(64, dt) is nc._const(64, dt)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
 def test_gelu_tiles_bitwise_against_formula(monkeypatch, dtype):
     # tiles of at most t rows: row counts around one and two tiles, with and
     # without a graph, each run in the expected number of tiles; a tile's
@@ -752,7 +800,7 @@ def test_row_mean_bitwise_equal_to_ndarray_mean(dtype):
     for width in (*range(1, 301), 4097):
         x = rng.standard_normal((scales.size, width)) * scales
         for a in (x.astype(dtype), np.abs(x).astype(dtype)):
-            assert_bitwise(nc._row_mean(a), a.mean(axis=1, keepdims=True))
+            assert_bitwise(nc._row_mean(a, nc._const(width, a.dtype)), a.mean(axis=1, keepdims=True))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -860,23 +908,34 @@ def test_add_row_bitwise_against_broadcast(dtype):
     assert_bitwise(drow, g.sum(axis=0, keepdims=True))
 
 
+@pytest.mark.parametrize("n", [34, 40])
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_tiled_position_gradient_matches_add_at(dtype):
-    # S sequences of n positions: adding the n gathered rows to each sequence
-    # must match gathering np.tile(arange(n), S) and scattering with np.add.at
-    n_seqs, n, d = 32, 34, 64
+def test_tiled_position_gradient_matches_add_at(dtype, n):
+    # S sequences of n positions, n below and equal to the table's 40 rows:
+    # adding the table's first n rows to each sequence, read in place or
+    # gathered first, must match gathering np.tile(arange(n), S) and
+    # scattering with np.add.at; a column of -0.0 gradients sums to +0.0
+    n_seqs, d = 32, 64
     table = rnd(40, d, seed=53, dtype=dtype)
     x = rnd(n_seqs * n, d, seed=54, dtype=dtype)
     g = rnd(n_seqs * n, d, seed=55, dtype=dtype).data
-    graph = nc.GradGraph()
-    out = nc.add_row(x, nc.gather_rows(table, np.arange(n), graph), graph)
-    _, drow = graph._records[-1][2](g)
-    (dtable,) = graph._records[0][2](drow)
+    g[:, ::3] = -0.0
     pos = np.tile(np.arange(n), n_seqs)
-    assert_bitwise(out.data, x.data + table.data[pos])
     want = np.zeros_like(table.data)
     np.add.at(want, pos, g)
+    assert not np.signbit(want[:n, ::3]).any()
+    read, gathered = nc.GradGraph(), nc.GradGraph()
+    out = nc.add_row(x, table, read, k=n)
+    ref = nc.add_row(x, nc.gather_rows(table, np.arange(n), gathered), gathered)
+    assert read.n_ops == 1 and gathered.n_ops == 2
+    assert_bitwise(out.data, x.data + table.data[pos])
+    assert_bitwise(ref.data, out.data)
+    dx, dtable = read._records[-1][2](g)
+    assert dx is g
+    _, drow = gathered._records[-1][2](g)
+    (ref_dtable,) = gathered._records[0][2](drow)
     assert_bitwise(dtable, want)
+    assert_bitwise(ref_dtable, want)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -918,6 +977,9 @@ def test_add_row_block_must_tile_rows():
         nc.add_row(nc.zeros(6, 4), nc.zeros(4, 4))
     with pytest.raises(nc.DimensionError):
         nc.add_row(nc.zeros(6, 4), nc.zeros(3, 5))
+    for k in (0, 4, 5):  # k rows of the table must exist and divide x's rows
+        with pytest.raises(nc.DimensionError):
+            nc.add_row(nc.zeros(6, 4), nc.zeros(4, 4), k=k)
 
 
 # --------------------------------------------------------------------------
