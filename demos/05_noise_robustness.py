@@ -28,5 +28,5 @@ cfg = ModelConfig(vocab_size=layout.vocab_size, d_model=32, n_heads=4, n_layers=
 params = init_params(cfg, Rng(11))
 grid = noise_robustness(params, data, layout, rng=Rng(12))
 print("\nuntrained model noise grid (error stays at chance):")
-for level, err in grid.rows:
+for level, err in grid:
     print(f"  noise {level:>4.0f}%: error {err:6.2f}%")

@@ -20,7 +20,7 @@ curves = {
 }
 
 print(f"{'n':>5} {'gate ms':>9} {'plain ms':>9} {'ratio':>6} {'flop delta':>12} {'closed form':>12}")
-for on, off in zip(curves[GateMode.LEARNED].rows, curves[GateMode.DISABLED].rows):
+for on, off in zip(curves[GateMode.LEARNED], curves[GateMode.DISABLED]):
     n = on.seq_len
     closed = 2 * cfg.n_layers * (n * cfg.d_model**2 + n * cfg.d_model)
     print(f"{n:>5} {on.median_ms:>9.2f} {off.median_ms:>9.2f} "

@@ -25,7 +25,7 @@ print(f"batch streams paired: digest {result.learned.stream_digest[:16]}...\n")
 
 print(f"{'arm':>9} {'val ppl':>9} {'retention':>10} {'err@20%':>8}  loss curve")
 for arm in result.rows():
-    err20 = dict(arm.noise_grid.rows)[20.0]
+    err20 = dict(arm.noise_grid)[20.0]
     curve = " ".join(f"{v:.2f}" for v in arm.loss_curve)
     print(f"{arm.gate_mode.value:>9} {arm.final_val_ppl:>9.3f} "
           f"{arm.retention_percent:>9.2f}% {err20:>7.1f}%  {curve}")

@@ -239,7 +239,7 @@ def cmd_eval(args) -> int:
         grid = noise_robustness(
             params, dataset, layout, levels=args.noise_levels, rng=Rng(args.seed), clean=clean
         )
-        for level, err in grid.rows:
+        for level, err in grid:
             rows.append(row(f"error_rate_at_noise_{int(level)}", err))
     if "coherence" in wanted and dataset.meta is None:
         for t, acc, count in coherence_curve(clean):
@@ -273,10 +273,10 @@ def cmd_bench(args) -> int:
         )
     rows = ["seq_len,gate_mode,median_ms,flops"]
     for mode, curve in curves.items():
-        for r in curve.rows:
+        for r in curve:
             rows.append(f"{r.seq_len},{mode.value},{r.median_ms!r},{r.flops}")
     ratios = ["seq_len,latency_ratio,flop_delta"]
-    for on, off in zip(curves[GateMode.LEARNED].rows, curves[GateMode.DISABLED].rows):
+    for on, off in zip(curves[GateMode.LEARNED], curves[GateMode.DISABLED]):
         ratios.append(f"{on.seq_len},{on.median_ms / off.median_ms!r},{on.flops - off.flops}")
     _emit(rows, args.out, "bench.csv")
     _emit(ratios, args.out, "overhead.csv")

@@ -134,15 +134,6 @@ class Batch:
     def seq_len(self) -> int:
         return self.tokens.shape[1]
 
-    def validate(self, vocab_size: int) -> None:
-        if self.tokens.min() < 0 or self.tokens.max() >= vocab_size:
-            raise ValueError("token index outside vocab")
-        if not self.loss_mask.any(axis=1).all():
-            raise ValueError("every row needs at least one masked-in position")
-        live = self.targets[self.loss_mask]
-        if live.min() < 0 or live.max() >= vocab_size:
-            raise ValueError("masked target outside vocab")
-
     def scored(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(positions, targets, mask): the P columns where some row's loss
         mask is set, and the targets and mask there, flat in the row order
@@ -190,6 +181,8 @@ class TaskSpec:
             if not self.pairs:
                 need = max(_kv_pair_index(self.seq_len, None, d) for d in self.distances)
                 object.__setattr__(self, "pairs", need + 1)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.kind != "corpus" and self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.kind == "corpus" and (self.corpus_path is None or self.seq_len < 1):
@@ -212,11 +205,20 @@ class TaskSpec:
 
     def check(self, batch: Batch, layout: VocabLayout) -> None:
         """Raise ValueError unless batch is this task's data under layout:
-        Batch.validate, samples x seq_len tokens, each row's meta one of the
-        distances, and for kv_recall keys at even and values at odd
-        positions below 2 * pairs, then filler up to the query. The seed
-        cannot be checked, as its draws leave no trace in the arrays."""
-        batch.validate(layout.vocab_size)
+        samples x seq_len tokens in the vocab, each row scoring at least one
+        position, every scored target in the vocab, each row's meta one of
+        the distances, and for kv_recall keys at even and values at odd
+        positions below 2 * pairs, then filler up to the query marker at
+        seq_len - 2, and only column seq_len - 1 scored. The seed cannot be
+        checked, as its draws leave no trace in the arrays."""
+        vocab = layout.vocab_size
+        if batch.tokens.min() < 0 or batch.tokens.max() >= vocab:
+            raise ValueError("token index outside vocab")
+        if not batch.loss_mask.any(axis=1).all():
+            raise ValueError("every row needs at least one masked-in position")
+        live = batch.targets[batch.loss_mask]
+        if live.min() < 0 or live.max() >= vocab:
+            raise ValueError("masked target outside vocab")
         if (self.samples, self.seq_len) != batch.tokens.shape:
             raise ValueError(f"header task.samples {self.samples} and task.seq_len {self.seq_len}"
                              f" disagree with the {batch.n_rows} x {batch.seq_len} tokens")
@@ -231,6 +233,10 @@ class TaskSpec:
                 raise ValueError(f"header task.pairs {self.pairs} disagrees with the tokens: each row"
                                  f" needs keys at even and values at odd positions below {m},"
                                  f" then filler up to position {self.seq_len - 2}")
+            if (t[:, -2] != layout.query).any() or batch.loss_mask[:, :-1].any():
+                raise ValueError(f"each kv_recall row needs the query marker at position"
+                                 f" {self.seq_len - 2} and its one scored position at"
+                                 f" {self.seq_len - 1}")
 
     @classmethod
     def kv_recall(cls, distances, samples, seed=0, seq_len=None, pairs=None, val_fraction=0.1):

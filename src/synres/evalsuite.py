@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import Batch, VocabLayout, inject_noise
-from .model import GateMode, Params, count_flops, forward, forward_batch
+from .model import Params, count_flops, forward, forward_batch
 from .numcore import Rng, _row_nll
 
 DEFAULT_NOISE_LEVELS = (0, 10, 20, 30)
@@ -43,31 +43,10 @@ class RetentionReport:
 
 
 @dataclass
-class NoiseGrid:
-    """(noise level %, masked-position error rate %) rows, levels increasing."""
-
-    rows: list[tuple[float, float]]
-
-    def __post_init__(self):
-        levels = [r[0] for r in self.rows]
-        if any(b <= a for a, b in zip(levels, levels[1:])):
-            raise ValueError("noise levels must be strictly increasing")
-        if any(not 0.0 <= r[1] <= 100.0 for r in self.rows):
-            raise ValueError("error rates must be within [0, 100]")
-
-
-@dataclass
 class LatencyRow:
     seq_len: int
     median_ms: float
     flops: int
-
-
-@dataclass
-class LatencyCurve:
-    rows: list[LatencyRow]
-    gate_mode: GateMode
-    repetitions: int
 
 
 @dataclass
@@ -91,9 +70,10 @@ def value_range_for(dataset: Batch, layout: VocabLayout) -> tuple[int, int] | No
 
 def score(params: Params, dataset: Batch, value_range: tuple[int, int] | None = None) -> Scores:
     """Forward each EVAL_CHUNK rows once, at the positions they score
-    (Batch.scored()); a chunk that scores none runs no forward."""
-    if dataset.n_rows == 0:
-        raise ValueError("empty evaluation stream")
+    (Batch.scored()); a chunk that scores none runs no forward. A dataset
+    that scores no position is rejected, as no metric is defined on it."""
+    if not dataset.loss_mask.any():
+        raise ValueError("empty evaluation stream: no row scores a position")
     total, count = 0.0, 0
     pred = np.full_like(dataset.tokens, -1)
     for at in range(0, dataset.n_rows, EVAL_CHUNK):
@@ -160,10 +140,11 @@ def noise_robustness(
     *,
     rng: Rng,
     clean: Scores | None = None,
-) -> NoiseGrid:
-    """Masked-position error rate after replacing input tokens at each noise
-    level (percent). Level 0 is the clean scores, scored here unless passed as
-    clean (over value_range_for's range, as every level is)."""
+) -> list[tuple[float, float]]:
+    """(noise level %, masked-position error rate %) rows, one per level:
+    the error rate after replacing input tokens at that level. Level 0 is the
+    clean scores, scored here unless passed as clean (over value_range_for's
+    range, as every level is)."""
     if any(not 0 <= lv <= 100 for lv in levels):
         raise ValueError(f"noise levels must be percentages in [0, 100], got {levels}")
     if any(b <= a for a, b in zip(levels, levels[1:])):  # before any chunk is scored
@@ -179,7 +160,7 @@ def noise_robustness(
         noisy = inject_noise(dataset, level / 100.0, layout, noise_rng) if level else None
         scores = score(params, noisy, value_range) if level else clean
         rows.append((float(level), 100.0 * (1.0 - _accuracy(scores))))
-    return NoiseGrid(rows=rows)
+    return rows
 
 
 def coherence_curve(scores: Scores) -> list[tuple[int, float, int]]:
@@ -201,11 +182,11 @@ def latency_bench(
     seq_lens=None,
     repetitions: int = 20,
     seed: int = 0,
-) -> LatencyCurve:
-    """Median wall-clock of full-sequence forward passes on fixed random
-    tokens, with the closed-form flop estimate attached. Run exclusively.
-    seq_lens None times the powers of two from 8 below the model's
-    max_seq_len, then max_seq_len itself."""
+) -> list[LatencyRow]:
+    """One row per length: the median wall-clock of full-sequence forward
+    passes on fixed random tokens, with the closed-form flop estimate of
+    params.config's gate mode. Run exclusively. seq_lens None times the powers
+    of two from 8 below the model's max_seq_len, then max_seq_len itself."""
     if repetitions < 20:
         raise ValueError(f"latency medians need >= 20 repetitions after {WARMUPS} warmups")
     cfg = params.config
@@ -231,7 +212,7 @@ def latency_bench(
                 flops=count_flops(cfg, n).total,
             )
         )
-    return LatencyCurve(rows=rows, gate_mode=cfg.gate_mode, repetitions=repetitions)
+    return rows
 
 
 def lookup_oracle(batch: Batch) -> np.ndarray:

@@ -155,6 +155,8 @@ class Rng:
 
     def __init__(self, seed: int, _seq: np.random.SeedSequence | None = None):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         self._seq = _seq if _seq is not None else np.random.SeedSequence(self.seed)
         self._gen = np.random.Generator(np.random.Philox(self._seq))
 

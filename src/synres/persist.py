@@ -114,8 +114,9 @@ def atomic_write(path, chunks):
 
 
 # kind -> (header sections in order, each with the class it builds; integer
-# scalars; tensor name, or "*" for any name, -> dtype). Only _write_container
-# and _read_container read it.
+# scalars; tensor name, or "*" for any name, -> dtype). _write_container and
+# _read_container read it, and save_dataset the dataset's tensors, so a
+# dataset array's name, order and dtype live here alone.
 _CONTAINERS = {
     "checkpoint": ({"model": ModelConfig, "train": TrainConfig}, ("seed", "epoch"),
                    {"*": np.floating}),
@@ -237,14 +238,13 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def save_dataset(path, batch: Batch, spec: TaskSpec, layout: VocabLayout):
-    """Dataset artifact in the container format; the header holds the TaskSpec."""
-    meta = None if batch.meta is None else batch.meta.astype(np.int64).reshape(-1, 1)
-    protected = None if batch.protected is None else batch.protected.astype(np.bool_)
-    arrays = [("tokens", batch.tokens.astype(np.int64)),
-              ("targets", batch.targets.astype(np.int64)),
-              ("loss_mask", batch.loss_mask.astype(np.bool_)), ("meta", meta), ("protected", protected)]
-    _write_container(path, "dataset", {"task": spec, "layout": layout},
-                     [(name, arr) for name, arr in arrays if arr is not None])
+    """Dataset artifact in the container format; the header holds the TaskSpec.
+    Each array the batch holds is written in its _CONTAINERS row's order and
+    dtype, meta as one column."""
+    _write_container(path, "dataset", {"task": spec, "layout": layout}, [
+        (name, arr.astype(dtype).reshape(arr.shape[0], -1))
+        for name, dtype in _CONTAINERS["dataset"][2].items()
+        if (arr := getattr(batch, name)) is not None])
 
 
 def load_dataset(path) -> tuple[Batch, TaskSpec, VocabLayout]:

@@ -48,6 +48,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.lr_decay < 1.0:
             raise ValueError(f"lr_decay must be in (0, 1), got {self.lr_decay}")
         if self.min_lr < 0:
@@ -281,7 +283,7 @@ class ArmSummary:
     gate_mode: GateMode
     final_val_ppl: float
     retention_percent: float | None
-    noise_grid: evalsuite.NoiseGrid
+    noise_grid: list[tuple[float, float]]  # noise_robustness's rows
     loss_curve: list[float]
     stream_digest: str
     params: Params

@@ -357,11 +357,11 @@ def test_criterion_07_noise_protocol():
                       d_ff=32, max_seq_len=spec.seq_len)
     params = init_params(cfg, nc.Rng(18))
     grid = noise_robustness(params, data, layout, rng=nc.Rng(19))
-    assert [r[0] for r in grid.rows] == [0.0, 10.0, 20.0, 30.0]
+    assert [r[0] for r in grid] == [0.0, 10.0, 20.0, 30.0]
     clean_err = 100.0 * (
         1.0 - masked_accuracy(params, data, value_range=(layout.value_lo, layout.value_hi))
     )
-    assert grid.rows[0][1] == clean_err  # bitwise: same floats, same path
+    assert grid[0][1] == clean_err  # bitwise: same floats, same path
 
     byte_layout = VocabLayout.bytes_()
     tokens = nc.Rng(20).integers(0, 256, size=(100, 1000))
@@ -445,7 +445,7 @@ def test_criterion_09_ablation_harness():
     for arm in rows:
         assert len(arm.loss_curve) == 3
         assert arm.retention_percent is not None
-        assert len(arm.noise_grid.rows) == 4
+        assert len(arm.noise_grid) == 4
     pristine = init_params(model_cfg, nc.Rng(train_cfg.seed).split()).synaptic()
     for w_after, w_init in zip(result.disabled.params.synaptic(), pristine):
         np.testing.assert_array_equal(w_after.data, w_init.data)

@@ -170,6 +170,15 @@ def test_train_config_value_rejected_exit2_before_writing(tmp_path, capsys, edit
     assert not out.exists()
 
 
+def test_train_negative_seed_flag_exit2_before_writing(config_path, tmp_path, capsys):
+    # --seed -1 once wrote config.txt and a header-only metrics.csv, then
+    # exited 2 with numpy's "expected non-negative integer", naming nothing
+    out = tmp_path / "o"
+    assert main(["train", str(config_path), "--out", str(out), "--seed", "-1"]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # eval
 # --------------------------------------------------------------------------
@@ -607,6 +616,24 @@ def test_eval_artifact_with_token_past_vocab_exit5(trained, artifact, capsys):
     assert f"{artifact}: token index outside vocab" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", ["second_scored_column", "no_query_marker"])
+def test_eval_kv_artifact_not_scoring_the_queried_key_alone_exit5(fresh_ckpt, artifact, capsys,
+                                                                 edit):
+    # retention reads one scored position per row, right after the query
+    # marker: a mask that also scored column 0 once loaded, then failed a
+    # reshape with exit 2, and a row without the marker was scored as recall
+    batch, spec, layout = load_dataset(artifact)
+    if edit == "second_scored_column":
+        batch.loss_mask[:, 0] = True
+    else:
+        batch.tokens[:, -2] = layout.filler
+    save_dataset(artifact, batch, spec, layout)
+    assert main(["eval", str(fresh_ckpt), "--data", str(artifact)]) == 5
+    message = ("each kv_recall row needs the query marker at position 6 and its one scored"
+               " position at 7")
+    assert f"corrupt checkpoint: {artifact}: {message}" in capsys.readouterr().err
+
+
 def test_eval_gate_mode_runs_the_checkpoint_weights_under_that_mode(trained, tmp_path):
     art = tmp_path / "data.ds"
     assert main(["gen-data", "--task", "kv_recall", "--distances", "4,6",
@@ -630,7 +657,7 @@ def test_eval_gate_mode_runs_the_checkpoint_weights_under_that_mode(trained, tmp
         "perplexity": perplexity(clean),
         "retention_percent": report.aggregate_percent,
         **{f"retention_at_{d}": 100.0 * r for d, r in report.per_distance.items()},
-        **{f"error_rate_at_noise_{int(level)}": err for level, err in grid.rows},
+        **{f"error_rate_at_noise_{int(level)}": err for level, err in grid},
     }
     assert got == want
     assert want["perplexity"] != perplexity(score(learned, dataset))
@@ -709,6 +736,19 @@ def test_bench_needs_exactly_one_source(config_path):
 # --------------------------------------------------------------------------
 
 
+def test_negative_seed_flags_exit2_naming_the_value(config_path, fresh_ckpt, artifact, tmp_path,
+                                                    capsys):
+    # each once exited 2 with numpy's "expected non-negative integer"
+    art = tmp_path / "copy.ds"
+    for argv in (["eval", str(fresh_ckpt), "--data", str(artifact), "--seed", "-1"],
+                 ["bench", "--config", str(config_path), "--seed", "-1"],
+                 ["gen-data", "--task", "copy", "--seq-len", "10", "--task-seed", "-1",
+                  "--out", str(art)]):
+        assert main(argv) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not art.exists()
+
+
 def test_gen_data_byte_identical(tmp_path):
     a1, a2 = tmp_path / "d1.ds", tmp_path / "d2.ds"
     args = ["gen-data", "--task", "copy", "--seq-len", "12", "--vocab-size", "64",
@@ -740,7 +780,7 @@ def test_gen_data_round_trips_through_loader(tmp_path):
     batch, spec, layout = load_dataset(art)
     assert batch.n_rows == 24
     assert spec.kind == "kv_recall" and spec.distances == (4, 8)
-    batch.validate(layout.vocab_size)
+    spec.check(batch, layout)
 
 
 # --------------------------------------------------------------------------

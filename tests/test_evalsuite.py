@@ -3,6 +3,7 @@ oracles, retention chance levels, noise grid, coherence shape, latency
 bookkeeping, ablation pairing and the forwards each of them runs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +15,8 @@ from synres.datagen import (
     TaskSpec, VocabLayout, build_task_data, gen_copy, gen_kv_recall, layout_for,
 )
 from synres.evalsuite import (
+    DEFAULT_NOISE_LEVELS,
     EVAL_CHUNK,
-    LatencyCurve,
-    NoiseGrid,
     coherence_curve,
     latency_bench,
     lookup_oracle,
@@ -159,6 +159,25 @@ def test_score_rejects_an_empty_dataset():
         score(untrained_model(vocab=data.tokens.max() + 1), data.rows(slice(0, 0)))
 
 
+@pytest.mark.parametrize("levels", [DEFAULT_NOISE_LEVELS, (10, 20)])
+def test_a_dataset_that_scores_no_position_is_rejected_by_every_metric(monkeypatch, levels):
+    # an all-false loss mask once reached perplexity's division by zero and
+    # numpy's "Mean of empty slice" in accuracy and the noise grid
+    _, layout, data = kv_setup(samples=8)
+    data.loss_mask[:] = False
+    params = untrained_model(vocab=layout.vocab_size)
+    calls = count_forwards(monkeypatch)
+    value_range = value_range_for(data, layout)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for metric in (lambda: perplexity(score(params, data)),
+                       lambda: masked_accuracy(params, data, value_range),
+                       lambda: noise_robustness(params, data, layout, levels, rng=nc.Rng(5))):
+            with pytest.raises(ValueError, match="empty evaluation stream"):
+                metric()
+    assert calls == []
+
+
 # --------------------------------------------------------------------------
 # retention
 # --------------------------------------------------------------------------
@@ -214,7 +233,7 @@ def test_noise_grid_level0_equals_clean_bitwise():
     params = untrained_model(vocab=layout.vocab_size)
     grid = noise_robustness(params, data, layout, levels=(0, 20), rng=nc.Rng(5))
     clean_acc = masked_accuracy(params, data, value_range=(layout.value_lo, layout.value_hi))
-    assert grid.rows[0][1] == 100.0 * (1.0 - clean_acc)
+    assert grid[0][1] == 100.0 * (1.0 - clean_acc)
 
 
 @pytest.mark.parametrize("task", ["kv_recall", "copy"])
@@ -233,27 +252,20 @@ def test_noise_grid_reads_passed_clean_scores_for_level0(monkeypatch, task):
     clean = score(params, data, value_range_for(data, layout))
     del calls[:]
     given = noise_robustness(params, data, layout, rng=nc.Rng(5), clean=clean)
-    assert len(calls) == 2 * 3 and given.rows == alone.rows
+    assert len(calls) == 2 * 3 and given == alone
     with pytest.raises(ValueError, match="clean scores"):  # another dataset's scores
         noise_robustness(params, data, layout, rng=nc.Rng(5),
                          clean=score(params, data.rows(slice(0, 64)), clean.value_range))
     del calls[:]
     later = noise_robustness(params, data, layout, levels=(10, 20), rng=nc.Rng(5))
-    assert len(calls) == 2 * 2 and [r[0] for r in later.rows] == [10.0, 20.0]
+    assert len(calls) == 2 * 2 and [r[0] for r in later] == [10.0, 20.0]
 
 
 def test_noise_grid_default_levels():
     _, layout, data = kv_setup(samples=60)
     params = untrained_model(vocab=layout.vocab_size)
     grid = noise_robustness(params, data, layout, rng=nc.Rng(6))
-    assert [r[0] for r in grid.rows] == [0.0, 10.0, 20.0, 30.0]
-
-
-def test_noise_grid_validation():
-    with pytest.raises(ValueError):
-        NoiseGrid(rows=[(0.0, 5.0), (0.0, 6.0)])
-    with pytest.raises(ValueError):
-        NoiseGrid(rows=[(0.0, 105.0)])
+    assert [r[0] for r in grid] == [0.0, 10.0, 20.0, 30.0]
 
 
 def test_oracle_under_full_noise_hits_chance():
@@ -323,16 +335,16 @@ def test_coherence_deterministic():
 def test_latency_rows_and_flops_column():
     params = untrained_model(vocab=32, d=16, ctx=64)
     curve = latency_bench(params, seq_lens=(8, 16), repetitions=20)
-    assert [r.seq_len for r in curve.rows] == [8, 16]
-    for row in curve.rows:
-        assert row.flops == count_flops(params.config, row.seq_len, curve.gate_mode).total
+    assert [r.seq_len for r in curve] == [8, 16]
+    for row in curve:
+        assert row.flops == count_flops(params.config, row.seq_len, params.config.gate_mode).total
         assert row.median_ms > 0
 
 
 def test_latency_default_lengths_fit_the_model():
     params = untrained_model(vocab=32, d=16, ctx=16)
     curve = latency_bench(params)
-    assert [r.seq_len for r in curve.rows] == [8, 16]
+    assert [r.seq_len for r in curve] == [8, 16]
 
 
 def test_latency_enforces_protocol(monkeypatch):

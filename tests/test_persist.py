@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from synres import numcore as nc
 from synres import persist
-from synres.datagen import TaskSpec, VocabLayout, gen_copy, gen_kv_recall
+from synres.datagen import Batch, TaskSpec, VocabLayout, gen_copy, gen_kv_recall
 from synres.model import GateMode, ModelConfig, forward, init_params
 from synres.persist import (
     CheckpointError,
@@ -206,6 +207,12 @@ def test_dataset_round_trip(tmp_path, kind):
             np.testing.assert_array_equal(getattr(loaded, extra), getattr(batch, extra))
 
 
+def test_dataset_container_row_names_every_batch_array_in_order():
+    # save_dataset writes the arrays this row names, so a Batch field left
+    # out of it would drop out of every artifact without a word
+    assert list(persist._CONTAINERS["dataset"][2]) == [f.name for f in fields(Batch)]
+
+
 def test_dataset_kind_mismatch(tmp_path):
     params = init_params(CFG, nc.Rng(8))
     path = tmp_path / "model.ckpt"
@@ -283,7 +290,7 @@ def test_a_repeated_or_stray_header_key_is_corrupt_and_named(tmp_path, kind, lin
 
 
 @pytest.mark.parametrize("name,dtype,expected", [
-    ("tokens", np.float64, "int64"),  # loaded, then failed Batch.validate with exit 2
+    ("tokens", np.float64, "int64"),  # once loaded, then failed the token vocab check with exit 2
     ("targets", np.bool_, "int64"),
     ("loss_mask", np.float32, "bool"),  # loaded, cast to bool without a word
     ("meta", np.float64, "int64"),
